@@ -10,6 +10,7 @@ which are SVG 1.1. KNASTER_LAP_BUDGET overrides the materialization budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -366,10 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: an argparse parser is a
+    web of reference cycles, so building one per call left garbage that only
+    a full collection frees."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -49,11 +49,11 @@ def pick_level(t: RatLike, s: RatLike, ell: int, target: SeqSpec) -> int:
         raise ValueError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
     if ell < 1:
         raise ValueError("ell must be positive")
-    j = 1
-    while True:
-        if target.prefix_product(j - 1) > ell and Fraction(3, j) < s - t:
-            return j
+    j, p = 1, 1  # p = m_1*...*m_{j-1}, kept as a running product
+    while not (p > ell and Fraction(3, j) < s - t):
+        p *= target.nth(j)
         j += 1
+    return j
 
 
 def pick_q(t: RatLike, j: int, grouped: GroupedSeq) -> tuple[int, Fraction]:

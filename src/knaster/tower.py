@@ -10,12 +10,16 @@ for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
 lap count of f_j grows like n_1*...*n_j, so each level stores only its fold
 points plus two tracked preimages, and evaluation descends the levels.
+Exact range queries descend too: every level is onto, so a stretch of the
+domain holding a whole tent leg of level j has the range of f_{j-1} over
+[0, 1], and a query costs O(m_j) work per distinct subinterval at each level
+instead of one piece per tent fold, iteratively, at any depth.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +39,7 @@ from .plmap import (
 from .seqs import GroupedSeq, SeqSpec, regroup
 
 DEFAULT_LAP_BUDGET = 10 ** 6
+RANGE_MEMO_LIMIT = 1 << 14
 
 
 class LapBudgetError(ValueError):
@@ -96,9 +101,10 @@ def _fold_points(n: int, k: int, m: int, a: Fraction, b: Fraction) -> tuple[Frac
         target = a if lam % 2 == 0 else b
         x = Fraction(c + target, n) if c % 2 == 0 else Fraction(c + 1 - target, n)
         pts.append(x)
-    for u, v in zip(pts, pts[1:]):
-        assert u < v, "fold points must increase strictly"
-    assert ZERO <= pts[0] and pts[-1] <= ONE
+    if any(u >= v for u, v in zip(pts, pts[1:])):
+        raise ValueError(f"fold points {pts} do not increase strictly")
+    if not (ZERO <= pts[0] and pts[-1] <= ONE):
+        raise ValueError(f"fold points {pts} leave [0, 1]")
     return tuple(pts)
 
 
@@ -244,7 +250,8 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
     b_prev, z_prev = ONE, ZERO
     for j in range(1, depth + 1):
         n, m = grouped.nth(j), target.nth(j)
-        assert (m + 2) * j < n, "regrouping must enforce the strict level bound"
+        if not (m + 2) * j < n:
+            raise ValueError(f"level {j}: n = {n} does not exceed (m+2)j = {(m + 2) * j}")
         slot = slot_index(t, j)
         k = -(-n * slot // j)
         folds = _fold_points(n, k, m, ZERO, b_prev)
@@ -310,10 +317,17 @@ def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET
 def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of f_j over [lo, hi], computed lazily.
 
-    The interval is cut at this level's branch boundaries and tent folds;
-    interior pieces cover a full tent leg and reduce to the previous level's
-    range over [0, 1], which is memoized, so the work stays linear in the
-    total number of legs touched.
+    On a piece of [lo, hi] between two of level j's branch boundaries, f_j is
+    one monotone inverse branch of tent(m_j) applied to f_{j-1}∘tent(n_j), so
+    its range is that branch applied to f_{j-1}'s range over the tent image of
+    the piece. A piece holding a whole tent leg has image [0, 1] (the memoized
+    query range(j-1, 0, 1), which is (0, 1) because every level is onto); any
+    other piece meets at most one fold, and its image is a single interval.
+    So a query costs at most m_j subqueries per interval at level j, and the
+    levels are walked down then up in a loop, with the subqueries of each
+    level deduplicated: the work grows linearly in j and any depth works.
+    Results are memoized on the tower, in a memo cleared once it holds more
+    than RANGE_MEMO_LIMIT entries.
     """
     lo, hi = as_rat(lo), as_rat(hi)
     if not ZERO <= lo <= hi <= ONE:
@@ -323,40 +337,60 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     return _level_range(tower, j, lo, hi)
 
 
+def _range_pieces(lvl: LevelData, lo: Fraction, hi: Fraction):
+    """Split [lo, hi] at the branch boundaries: (leg, interval) pairs, the
+    interval being the piece's image under tent(n_j), where f_{j-1} is queried."""
+    bounds = lvl.boundaries
+    first = bisect_right(bounds, lo)
+    cuts = (lo, *bounds[first:bisect_left(bounds, hi)], hi)
+    n = lvl.n
+    pieces = []
+    for lam, (p, q) in enumerate(zip(cuts, cuts[1:]), first):
+        c_lo = -(-p.numerator * n // p.denominator)
+        c_hi = q.numerator * n // q.denominator
+        if c_hi > c_lo:
+            # [c_lo/n, (c_lo+1)/n] lies inside: the image is all of [0, 1]
+            pieces.append((lam, (ZERO, ONE)))
+            continue
+        u1, u2 = wave_eval(n * p), wave_eval(n * q)
+        if u1 > u2:
+            u1, u2 = u2, u1
+        if c_hi == c_lo:
+            # one fold c_lo/n inside, where the wave turns at 0 (even) or 1 (odd)
+            if c_lo % 2 == 0:
+                u1 = ZERO
+            else:
+                u2 = ONE
+        pieces.append((lam, (u1, u2)))
+    return pieces
+
+
 def _level_range(tower: Tower, j: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     if j == 0:
         return (lo, hi)
-    if lo == hi:
-        v = eval_level(tower, j, lo)
-        return (v, v)
-    key = (j, lo, hi)
     memo = tower._range_memo
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    lvl = tower.levels[j - 1]
-    boundaries = lvl.boundaries
-    cuts = {lo, hi}
-    cuts.update(t for t in boundaries if lo < t < hi)
-    cuts.update(Fraction(c, lvl.n)
-                for c in range(math.floor(lo * lvl.n) + 1, math.ceil(hi * lvl.n)))
-    cuts = sorted(cuts)
-    rmin = rmax = None
-    for p, q in zip(cuts, cuts[1:]):
-        lam = bisect_right(boundaries, p)
-        u1, u2 = wave_eval(lvl.n * p), wave_eval(lvl.n * q)
-        if u1 > u2:
-            u1, u2 = u2, u1
-        r1, r2 = _level_range(tower, j - 1, u1, u2)
-        w1, w2 = branch_apply(lam, r1, lvl.m), branch_apply(lam, r2, lvl.m)
-        if w1 > w2:
-            w1, w2 = w2, w1
-        if rmin is None or w1 < rmin:
-            rmin = w1
-        if rmax is None or w2 > rmax:
-            rmax = w2
-    memo[key] = (rmin, rmax)
-    return rmin, rmax
+    if len(memo) > RANGE_MEMO_LIMIT:
+        memo.clear()
+    # Walk down: the distinct intervals each level still needs, and their pieces.
+    plans = []
+    need = {(lo, hi)}
+    for level in range(j, 0, -1):
+        lvl = tower.levels[level - 1]
+        plan = {iv: _range_pieces(lvl, *iv) for iv in need if (level, *iv) not in memo}
+        if not plan:
+            break
+        plans.append((level, plan))
+        need = {sub for pieces in plan.values() for _, sub in pieces}
+    # Walk up: level 0 is the identity, every level above reads the one below.
+    for level, plan in reversed(plans):
+        m = tower.levels[level - 1].m
+        for iv, pieces in plan.items():
+            # each branch is monotone: its extremes sit at the sub-range's ends
+            ends = [branch_apply(lam, r, m)
+                    for lam, sub in pieces
+                    for r in (sub if level == 1 else memo[(level - 1, *sub)])]
+            memo[(level, *iv)] = (min(ends), max(ends))
+    return memo[(j, lo, hi)]
 
 
 def commutes_pointwise(tower: Tower, j: int, x: RatLike) -> bool:

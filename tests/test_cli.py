@@ -2,7 +2,7 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
-from knaster.cli import main
+from knaster.cli import _parser, build_parser, main
 from knaster.serialize import dumps, plmap_from_obj, thread_to_obj
 from knaster import SeqSpec, Thread, compose, tent
 
@@ -105,6 +105,32 @@ def test_distinguish_and_verify(tmp_path, capsys):
     cert_path.write_text(dumps(obj))
     assert run("verify-cert", "--cert", str(cert_path),
                "--N", "const:2", "--M", "const:2") == 1
+
+
+def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
+    argvs = [
+        ["distinguish", "--N", "const:2", "--M", "const:2", "--t", "0", "--s", "1/2",
+         "--ell", "9", "--level", "9", "--out", "a.json"],
+        ["semigroup", "--maxn", "3"],
+        ["distinguish", "--N", "const:3", "--M", "const:2", "--t", "0", "--s", "1/2",
+         "--out", "b.json"],
+        ["semigroup"],
+        ["tower", "build", "--N", "const:2", "--M", "const:2", "--t", "1/3",
+         "--depth", "2", "--out", "t.json"],
+        ["tower", "eval", "--tower", "t.json", "--level", "1", "--x", "1/5"],
+    ]
+    assert _parser() is _parser()
+    for argv in argvs:
+        assert vars(_parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+    # through main: the second distinguish falls back to its own defaults
+    out = str(tmp_path / "c.json")
+    base = ["distinguish", "--N", "const:2", "--M", "const:2", "--t", "0", "--s", "1/2",
+            "--out", out]
+    assert run(*base, "--ell", "100", "--level", "9") == 0
+    assert "j=9" in capsys.readouterr().out
+    assert run(*base) == 0
+    assert "j=7" in capsys.readouterr().out
+    assert json.loads((tmp_path / "c.json").read_text())["ell"] == 4
 
 
 def test_distinguish_rejects_equal_parameters(tmp_path):

@@ -29,6 +29,22 @@ def test_pick_level_strictness():
     assert pick_level(F(0), F(1, 2), 1, c2) == 7
 
 
+def test_pick_level_matches_definition():
+    # both inequalities are monotone in j, so j is the least admissible level
+    # exactly when it satisfies them and j - 1 does not
+    def admissible(t, s, ell, target, j):
+        return target.prefix_product(j - 1) > ell and F(3, j) < s - t
+
+    targets = (c2, SeqSpec.constant(3), SeqSpec.periodic([2], [3, 5]))
+    for gap in (F(1, 2), F(1, 3), F(2, 7), F(1, 10), F(1, 99), F(1, 1000)):
+        for t in (F(0), 1 - gap):
+            for ell in (1, 4, 63, 64, 10 ** 6):
+                for target in targets:
+                    j = pick_level(t, t + gap, ell, target)
+                    assert admissible(t, t + gap, ell, target, j)
+                    assert j == 1 or not admissible(t, t + gap, ell, target, j - 1)
+
+
 def test_pick_level_rejects_degenerate():
     with pytest.raises(ValueError):
         pick_level(F(1, 2), F(1, 2), 4, c2)

@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knaster import (
     LapBudgetError,
@@ -25,6 +29,8 @@ from knaster import (
     slot_index,
     tent,
 )
+from knaster.cli import parse_seq
+from knaster.tower import _fold_points
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -228,6 +234,68 @@ def test_level_range_matches_materialized():
             if a > b:
                 a, b = b, a
             assert level_range(tower, j, a, b) == range_on(f, a, b)
+
+
+RANGE_PAIRS = (("const:2", "const:2"), ("const:3", "const:2"), ("const:2", "const:3"),
+               ("periodic:3|2,5", "periodic:2|2,3"))
+
+
+@lru_cache(maxsize=None)
+def small_tower(pair, t):
+    """A depth-3 tower with its levels materialized (shared across examples)."""
+    tower = build_tower(parse_seq(pair[0]), parse_seq(pair[1]), t, 3)
+    return tower, [materialize_level(tower, j) for j in range(4)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANGE_PAIRS),
+       st.fractions(min_value=0, max_value=1, max_denominator=12),
+       st.integers(min_value=0, max_value=3),
+       st.data())
+def test_level_range_differential(pair, t, j, data):
+    tower, maps = small_tower(pair, t)
+    # endpoints: arbitrary rationals, 0 and 1, branch boundaries and fold points k/n_j
+    special = [F(0), F(1)]
+    if j:
+        lvl = tower.level(j)
+        special += list(lvl.folds) + [F(k, lvl.n) for k in range(lvl.n + 1)]
+    point = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=1000),
+                      st.sampled_from(special))
+    a = data.draw(point)
+    b = data.draw(st.one_of(st.just(a), point))  # lo == hi included
+    a, b = min(a, b), max(a, b)
+    assert level_range(tower, j, a, b) == range_on(maps[j], a, b)
+
+
+def test_level_range_deep_no_recursion_error():
+    tower = build_tower(c2, c2, F(1, 3), 1200)
+    lvl = tower.level(1200)
+    win_lo = F(lvl.slot, 1200)
+    assert level_range(tower, 1200, F(0), F(1, 2)) == (F(0), F(1))
+    assert level_range(tower, 1200, F(0), win_lo)[1] <= F(1, lvl.m)
+    x = F(2, 7)
+    v = eval_level(tower, 1200, x)
+    assert level_range(tower, 1200, x, x) == (v, v)
+
+
+def test_level_conditions_every_level_depth_1000():
+    # about 4.5 s on a 2-vCPU host, mostly eval_level(f_j, 0); a query that
+    # recursed over every tent fold needed 2.9 s for one range at depth 100
+    tower = build_tower(c2, c2, F(1, 3), 1000)
+    t0 = time.perf_counter()
+    for j in range(1, 1001):
+        assert check_level_conditions(tower, j).all_ok, j
+    assert time.perf_counter() - t0 < 15.0
+
+
+def test_fold_points_reject_bad_arguments():
+    # k + m + 1 > n pushes the last fold point past 1
+    with pytest.raises(ValueError):
+        _fold_points(4, 3, 2, F(0), F(1))
+    # a = b = 1 on an even leg puts t_0 and t_1 both at (k+1)/n
+    with pytest.raises(ValueError):
+        _fold_points(8, 2, 2, F(1), F(1))
+    assert _fold_points(8, 0, 2, F(0), F(1)) == (F(0), F(1, 8), F(2, 8))
 
 
 def test_tower_is_onto_at_every_level():
