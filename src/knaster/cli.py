@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a verification or exact check failed, 2 invalid
 input (bad flags, malformed files, unsatisfiable requests). Sequences are
 given as `const:2`, `list:2,3,5` or `periodic:8,16|32`; maps as `id`,
 `tent:7` or a JSON file path. All file I/O is UTF-8 JSON except plots,
-which are SVG 1.1. KNASTER_LAP_BUDGET overrides the materialization budget.
+which are SVG 1.1. KNASTER_LAP_BUDGET overrides the materialization budget,
+which also caps every tent degree read from the command line.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def parse_map(text: str) -> PLMap:
     if text == "id":
         return tent(1)
     if text.startswith("tent:"):
-        return tent(int(text[5:]))
+        return tent(_tent_degree(int(text[5:]), "tent degree"))
     with open(text, encoding="utf-8") as fh:
         return serialize.plmap_from_obj(json.load(fh))
 
@@ -82,11 +83,20 @@ def _lap_budget() -> int:
     return budget
 
 
+def _tent_degree(k: int, what: str) -> int:
+    """k, checked against the lap budget before any tent of degree k exists."""
+    budget = _lap_budget()
+    if k > budget:
+        raise ValueError(f"{what} {k} exceeds the lap budget {budget}")
+    return k
+
+
 # ------------------------------------------------------------- commands
 
 def cmd_semigroup(args) -> int:
     if args.maxn < 2:
         raise ValueError("--maxn must be at least 2")
+    _tent_degree(args.maxn ** 2, "--maxn squared")
     failures = 0
     for m in range(2, args.maxn + 1):
         for n in range(2, args.maxn + 1):
@@ -102,7 +112,8 @@ def cmd_semigroup(args) -> int:
 def cmd_lift(args) -> int:
     from .tower import LiftSpec, check_conditions, construct_lift
 
-    spec = LiftSpec(m=args.m, n=args.n, q=args.q, i=args.i, f0=parse_map(args.f0))
+    spec = LiftSpec(m=_tent_degree(args.m, "--m"), n=_tent_degree(args.n, "--n"),
+                    q=args.q, i=args.i, f0=parse_map(args.f0))
     f1 = construct_lift(spec)
     report = check_conditions(f1, spec)
     for name, value in report.as_dict().items():
@@ -189,6 +200,7 @@ def cmd_natmap_enum(args) -> int:
 
 
 def cmd_lifts(args) -> int:
+    _tent_degree(args.m, "--m")
     h = parse_map(getattr(args, "h"))
     found = enumerate_lifts(h, args.m, args.cap)
     bad = sum(1 for f in found if compose(tent(args.m), f) != h)

@@ -72,7 +72,8 @@ def pick_q(t: RatLike, j: int, grouped: GroupedSeq) -> tuple[int, Fraction]:
     if witness > ONE:
         raise ValueError(
             f"no even fold point 2q/{n} inside [{slot + 1}/{j}, 1] (slot = j-1, odd n_j)")
-    assert witness <= Fraction(slot + 2, j)
+    if witness > Fraction(slot + 2, j):
+        raise AssertionError
     return q, witness
 
 
@@ -83,7 +84,8 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
     The unordered pair {t, s} is normalized to t < s. The level defaults to
     pick_level's least admissible j; a caller-supplied level must satisfy the
     same two inequalities. The two value facts (vs = 0 exactly, vt in the top
-    band) are asserted: they are guaranteed, so a failure is a bug here.
+    band) are guaranteed, so a failure is a bug here: it raises AssertionError,
+    also under python -O.
     """
     t, s = as_rat(t), as_rat(s)
     if t == s:
@@ -104,9 +106,11 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
     vt = eval_level(tower_t, j, witness)
     vs = eval_level(tower_s, j, witness)
     m_j = target.nth(j)
-    assert vs == ZERO, f"s-tower value {vs} at witness {witness} is not exactly 0"
-    assert vt >= Fraction(m_j - 1, m_j), \
-        f"t-tower value {vt} at witness {witness} is below {m_j - 1}/{m_j}"
+    if vs != ZERO:
+        raise AssertionError(f"s-tower value {vs} at witness {witness} is not exactly 0")
+    if vt < Fraction(m_j - 1, m_j):
+        raise AssertionError(
+            f"t-tower value {vt} at witness {witness} is below {m_j - 1}/{m_j}")
     p = target.prefix_product(j - 1)
     return Certificate(t=t, s=s, ell=ell, j=j, q=q, witness=witness,
                        vt=vt, vs=vs, p=p, r=p * m_j)

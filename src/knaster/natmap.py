@@ -91,7 +91,8 @@ def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
             if depth == 0 or first_incompatible(spec, depth) is None:
                 seen.add((i0, jseq[0]))
                 out.append(spec)
-    assert len({(s.i0, s.jseq[0]) for s in out}) == len(out)
+    if len({(s.i0, s.jseq[0]) for s in out}) != len(out):
+        raise AssertionError
     return out
 
 

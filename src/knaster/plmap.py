@@ -284,7 +284,13 @@ def tent_preimages(n: int, y: RatLike) -> list[Fraction]:
         raise ValueError(f"{y} outside [0, 1]")
     if not isinstance(n, int) or n < 1:
         raise ValueError("tent index must be a positive integer")
-    xs = set()
-    for c in range(n):
-        xs.add(Fraction(c + y, n) if c % 2 == 0 else Fraction(c + 1 - y, n))
-    return sorted(xs)
+    return sorted({tent_branch(n, c, y) for c in range(n)})
+
+
+def tent_branch(n: int, c: int, y: Fraction) -> Fraction:
+    """The point of leg c (0-based) of tent(n), [c/n, (c+1)/n], that tent(n)
+    maps to y: the inverse branch of tent(n) on that leg."""
+    num, den = y.numerator, y.denominator
+    if c % 2 == 0:
+        return Fraction(c * den + num, n * den)
+    return Fraction((c + 1) * den - num, n * den)

@@ -1,9 +1,13 @@
-"""JSON wire formats. Every number crosses the boundary as an exact string.
+"""JSON wire formats. Every rational crosses the boundary as an exact string.
 
 Rationals are serialized as "p/q" in lowest terms ("p" alone when q = 1)
 and parsing is strict: non-reduced fractions, zero or negative
 denominators, leading zeros and any other junk are rejected, as are
 out-of-range values wherever the carrying structure constrains them.
+Integers are JSON integers; floats, strings and booleans are rejected.
+A tower file holds only its inputs: the sequences, t, the depth and, per
+level, the integers n, m, slot and k, which the loader checks against
+the tower it rebuilds.
 """
 
 from __future__ import annotations
@@ -57,6 +61,14 @@ def _require_int(obj, key: str) -> int:
     return value
 
 
+def _require_ints(obj, key: str) -> list[int]:
+    values = obj[key]
+    if not isinstance(values, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"field {key!r} must be a list of integers")
+    return values
+
+
 # ---------------------------------------------------------------- PLMap
 
 def plmap_to_obj(f: PLMap) -> dict:
@@ -85,10 +97,9 @@ def seqspec_from_obj(obj: dict) -> SeqSpec:
     if kind == "constant":
         return SeqSpec.constant(_require_int(obj, "n"))
     if kind == "list":
-        return SeqSpec.from_list([int(v) for v in obj["items"]])
+        return SeqSpec.from_list(_require_ints(obj, "items"))
     if kind == "periodic":
-        return SeqSpec.periodic([int(v) for v in obj["prefix"]],
-                                [int(v) for v in obj["period"]])
+        return SeqSpec.periodic(_require_ints(obj, "prefix"), _require_ints(obj, "period"))
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -106,7 +117,7 @@ def natmap_to_obj(spec: NaturalMapSpec) -> dict:
 def natmap_from_obj(obj: dict) -> NaturalMapSpec:
     return NaturalMapSpec(
         i0=_require_int(obj, "i0"),
-        jseq=tuple(int(v) for v in obj["jseq"]),
+        jseq=tuple(_require_ints(obj, "jseq")),
         source=seqspec_from_obj(obj["N"]),
         target=seqspec_from_obj(obj["M"]),
     )
@@ -140,23 +151,14 @@ def tower_to_obj(tower: Tower) -> dict:
         "M": seqspec_to_obj(tower.target),
         "t": rat_to_str(tower.t),
         "depth": tower.depth,
-        "levels": [
-            {
-                "n": lvl.n,
-                "m": lvl.m,
-                "slot": lvl.slot,
-                "k": lvl.k,
-                "a": rat_to_str(lvl.a),
-                "b": rat_to_str(lvl.b),
-                "folds": [rat_to_str(x) for x in lvl.folds],
-            }
-            for lvl in tower.levels
-        ],
+        "levels": [{"n": lvl.n, "m": lvl.m, "slot": lvl.slot, "k": lvl.k}
+                   for lvl in tower.levels],
     }
 
 
 def tower_from_obj(obj: dict) -> Tower:
-    """Rebuild the tower and re-verify the stored level data against it."""
+    """Rebuild the tower and check the stored level integers against it; other
+    keys of a level record, such as older files' derived fold data, are ignored."""
     raw_source = seqspec_from_obj(obj["rawN"])
     target = seqspec_from_obj(obj["M"])
     t = _unit_rat_from_str(obj["t"])
@@ -166,16 +168,8 @@ def tower_from_obj(obj: dict) -> Tower:
         raise ValueError(f"tower claims depth {depth} but stores {len(stored)} levels")
     tower = build_tower(raw_source, target, t, depth)
     for lvl, rec in zip(tower.levels, stored):
-        same = (
-            rec["n"] == lvl.n
-            and rec["m"] == lvl.m
-            and rec["slot"] == lvl.slot
-            and rec["k"] == lvl.k
-            and rat_from_str(rec["a"]) == lvl.a
-            and rat_from_str(rec["b"]) == lvl.b
-            and tuple(rat_from_str(x) for x in rec["folds"]) == lvl.folds
-        )
-        if not same:
+        ints = tuple(_require_int(rec, key) for key in ("n", "m", "slot", "k"))
+        if ints != (lvl.n, lvl.m, lvl.slot, lvl.k):
             raise ValueError(f"stored level {lvl.j} disagrees with the rebuilt tower")
     return tower
 

@@ -33,6 +33,7 @@ from .plmap import (
     leftmost_preimage,
     range_on,
     tent,
+    tent_branch,
     tent_preimages,
     wave_eval,
 )
@@ -54,14 +55,6 @@ def slot_index(t: RatLike, j: int) -> int:
     if j < 1:
         raise ValueError("level must be positive")
     return min(math.floor(t * j), j - 1)
-
-
-def branch_apply(lam: int, y: Fraction, m: int) -> Fraction:
-    """Inverse branch of tent(m) landing on leg lam (0-based)."""
-    num, den = y.numerator, y.denominator
-    if lam % 2 == 0:
-        return Fraction(lam * den + num, m * den)
-    return Fraction((lam + 1) * den - num, m * den)
 
 
 @dataclass(frozen=True)
@@ -95,23 +88,19 @@ class LiftSpec:
 def _fold_points(n: int, k: int, m: int, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
     """Points t_0 < ... < t_m with tent(n)(t_lam) = a (lam even) or b (lam odd),
     t_lam inside the leg [(k+lam)/n, (k+lam+1)/n]."""
-    pts = []
-    for lam in range(m + 1):
-        c = k + lam
-        target = a if lam % 2 == 0 else b
-        x = Fraction(c + target, n) if c % 2 == 0 else Fraction(c + 1 - target, n)
-        pts.append(x)
+    pts = tuple(tent_branch(n, k + lam, b if lam % 2 else a) for lam in range(m + 1))
     if any(u >= v for u, v in zip(pts, pts[1:])):
         raise ValueError(f"fold points {pts} do not increase strictly")
     if not (ZERO <= pts[0] and pts[-1] <= ONE):
         raise ValueError(f"fold points {pts} leave [0, 1]")
-    return tuple(pts)
+    return pts
 
 
-def _fold_into_branches(base: PLMap, boundaries, m: int) -> PLMap:
-    """Glue the inverse branches of tent(m) over base, switching legs at the
-    given boundary points (where base hits 1 or 0 alternately)."""
-    boundaries = list(boundaries)
+def _fold_into_branches(f: PLMap, n: int, m: int, boundaries) -> PLMap:
+    """The lift step: glue the inverse branches of tent(m) over f∘tent(n),
+    switching legs at the given boundary points (where f∘tent(n) hits 1 or 0
+    alternately)."""
+    base = compose(f, tent(n))
     merged: list[tuple[Fraction, Fraction]] = []
     bi = 0
     for x, y in base.points:
@@ -122,7 +111,7 @@ def _fold_into_branches(base: PLMap, boundaries, m: int) -> PLMap:
             bi += 1
         merged.append((x, y))
     return PLMap(
-        [(x, branch_apply(bisect_right(boundaries, x), y, m)) for x, y in merged])
+        [(x, tent_branch(m, bisect_right(boundaries, x), y)) for x, y in merged])
 
 
 def construct_lift(spec: LiftSpec) -> PLMap:
@@ -141,8 +130,7 @@ def construct_lift(spec: LiftSpec) -> PLMap:
         raise ValueError("f0 must map [0, 1] onto itself")
     k = -(-spec.n * spec.i // spec.q)
     folds = _fold_points(spec.n, k, spec.m, a, b)
-    base = compose(f0, tent(spec.n))
-    return _fold_into_branches(base, folds[1:spec.m], spec.m)
+    return _fold_into_branches(f0, spec.n, spec.m, folds[1:spec.m])
 
 
 @dataclass(frozen=True)
@@ -171,26 +159,34 @@ class ConditionReport:
         }
 
 
+def _report(fixes_origin: bool, commutes: bool | None, rng, m: int, q: int,
+            i: int) -> ConditionReport:
+    """Conditions 1 and 2 as given, and 3-5 for the window [i/q, (i+1)/q]
+    and tent degree m, with rng(lo, hi) the exact (min, max) over [lo, hi]."""
+    win_lo, win_hi = Fraction(i, q), Fraction(i + 1, q)
+    low_confined = rng(ZERO, win_lo)[1] <= Fraction(1, m)
+    sweeps_all = rng(win_lo, win_hi) == (ZERO, ONE)
+    high_confined = rng(win_hi, ONE)[0] >= Fraction(m - 1, m)
+    return ConditionReport(fixes_origin, commutes, low_confined, sweeps_all, high_confined)
+
+
 def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
     """Exact check of the five lift conclusions for f1 against spec."""
-    m, n, q, i, f0 = spec.m, spec.n, spec.q, spec.i, spec.f0
-    win_lo, win_hi = Fraction(i, q), Fraction(i + 1, q)
+    f0 = spec.f0
     fixes_origin = f0(ZERO) != ZERO or f1(ZERO) == ZERO
-    commutes = compose(f0, tent(n)) == compose(tent(m), f1)
-    low_confined = range_on(f1, ZERO, win_lo)[1] <= Fraction(1, m)
-    sweeps_all = range_on(f1, win_lo, win_hi) == (ZERO, ONE)
-    high_confined = range_on(f1, win_hi, ONE)[0] >= Fraction(m - 1, m)
-    return ConditionReport(fixes_origin, commutes, low_confined, sweeps_all, high_confined)
+    commutes = compose(f0, tent(spec.n)) == compose(tent(spec.m), f1)
+    return _report(fixes_origin, commutes, lambda lo, hi: range_on(f1, lo, hi),
+                   spec.m, spec.q, spec.i)
 
 
 @dataclass(frozen=True)
 class LevelData:
     """Fold data of one tower level.
 
-    a and b are the leftmost preimages of 0 and 1 under the previous level's
-    map (a is always 0 in a tower). b_self and zmax_self track this level's
-    own leftmost 1-preimage and rightmost 0-preimage; they are what the next
-    level needs, so towers never have to materialize anything.
+    folds are the lift step's fold points t_0..t_m. b_self and zmax_self
+    track this level's own leftmost 1-preimage and rightmost 0-preimage; they
+    are what the next level needs, so towers never have to materialize
+    anything. All of it follows from (n, m, slot, k) and the levels below.
     """
 
     j: int
@@ -198,8 +194,6 @@ class LevelData:
     m: int
     slot: int
     k: int
-    a: Fraction
-    b: Fraction
     folds: tuple[Fraction, ...]
     b_self: Fraction
     zmax_self: Fraction
@@ -255,23 +249,20 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         slot = slot_index(t, j)
         k = -(-n * slot // j)
         folds = _fold_points(n, k, m, ZERO, b_prev)
-        # Where this level's map first reaches 1: past fold t_{m-1} the map is
-        # the top branch, so it hits 1 when the previous map (evaluated on the
-        # tent leg) next hits 1 (m odd) or 0 (m even).
+        # Where this level's map first reaches 1: past fold t_{m-1}, on leg c,
+        # the map is the top branch, so it reaches 1 where the previous map
+        # next hits 1 (m odd: on the first even leg from c) or 0 (m even: at
+        # its rightmost zero, on the first odd leg from c).
+        c = k + m - 1
         if m % 2 == 1:
-            b_self = folds[m - 1] + Fraction(b_prev, n)
-        elif (k + m - 1) % 2 == 0:
-            b_self = Fraction(k + m + 1 - z_prev, n)
+            b_self = tent_branch(n, c + c % 2, b_prev)
         else:
-            b_self = Fraction(k + m - z_prev, n)
+            b_self = tent_branch(n, c + 1 - c % 2, z_prev)
         # Zeros live left of t_1 only; the rightmost one mirrors the previous
-        # level's rightmost zero through the adjacent tent leg.
-        if (k + 1) % 2 == 0:
-            z_self = Fraction(k + 1 + z_prev, n)
-        else:
-            z_self = Fraction(k + z_prev, n)
-        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, a=ZERO, b=b_prev,
-                                folds=folds, b_self=b_self, zmax_self=z_self))
+        # level's rightmost zero through the first even leg from k.
+        z_self = tent_branch(n, k + k % 2, z_prev)
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, folds=folds,
+                                b_self=b_self, zmax_self=z_self))
         b_prev, z_prev = b_self, z_self
     return Tower(raw_source, target, t, grouped, levels)
 
@@ -290,7 +281,7 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
         x = wave_eval(lvl.n * x)
     y = x
     for lam, m in reversed(legs):
-        y = branch_apply(lam, y, m)
+        y = tent_branch(m, lam, y)
     return y
 
 
@@ -309,7 +300,7 @@ def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET
     f = cache[start]
     for idx in range(start + 1, j + 1):
         lvl = tower.levels[idx - 1]
-        f = _fold_into_branches(compose(f, tent(lvl.n)), lvl.boundaries, lvl.m)
+        f = _fold_into_branches(f, lvl.n, lvl.m, lvl.boundaries)
         cache[idx] = f
     return cache[j]
 
@@ -386,7 +377,7 @@ def _level_range(tower: Tower, j: int, lo: Fraction, hi: Fraction) -> tuple[Frac
         m = tower.levels[level - 1].m
         for iv, pieces in plan.items():
             # each branch is monotone: its extremes sit at the sub-range's ends
-            ends = [branch_apply(lam, r, m)
+            ends = [tent_branch(m, lam, r)
                     for lam, sub in pieces
                     for r in (sub if level == 1 else memo[(level - 1, *sub)])]
             memo[(level, *iv)] = (min(ends), max(ends))
@@ -409,13 +400,9 @@ def check_level_conditions(tower: Tower, j: int) -> ConditionReport:
     commutes_pointwise or compare materialized compositions when feasible.
     """
     lvl = tower.level(j)
-    win_lo = Fraction(lvl.slot, j)
-    win_hi = Fraction(lvl.slot + 1, j)
     fixes_origin = eval_level(tower, j, ZERO) == ZERO
-    low_confined = level_range(tower, j, ZERO, win_lo)[1] <= Fraction(1, lvl.m)
-    sweeps_all = level_range(tower, j, win_lo, win_hi) == (ZERO, ONE)
-    high_confined = level_range(tower, j, win_hi, ONE)[0] >= Fraction(lvl.m - 1, lvl.m)
-    return ConditionReport(fixes_origin, None, low_confined, sweeps_all, high_confined)
+    return _report(fixes_origin, None, lambda lo, hi: level_range(tower, j, lo, hi),
+                   lvl.m, j, lvl.slot)
 
 
 def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
@@ -452,7 +439,7 @@ def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
                 pair = [c, c - 1] if direction > 0 else [c - 1, c]
                 legs = [leg for leg in pair if 0 <= leg <= m - 1]
         for leg in legs:
-            w = branch_apply(leg, y1, m)
+            w = tent_branch(m, leg, y1)
             nd = direction if w == v else (1 if w > v else -1)
             if not descend(idx + 1, vals + [w], nd):
                 return False

@@ -3,8 +3,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from knaster.cli import _parser, build_parser, main
-from knaster.serialize import dumps, plmap_from_obj, thread_to_obj
-from knaster import SeqSpec, Thread, compose, tent
+from knaster.serialize import dumps, plmap_from_obj, rat_to_str, thread_to_obj
+from knaster import SeqSpec, Thread, build_tower, compose, eval_level, tent
 
 F = Fraction
 
@@ -78,6 +78,35 @@ def test_tower_eval_output(tmp_path, capsys):
     assert run("tower", "eval", "--tower", str(tower_path),
                "--level", "1", "--x", "1/8") == 0
     assert capsys.readouterr().out.strip() == "1/2"
+
+
+def test_tower_round_trip_at_depth_1300(tmp_path, capsys):
+    # a level's fold rationals outgrow int-to-str's 4300-digit limit before
+    # depth 1300, so only a file without them can be written at that depth
+    tower_path = tmp_path / "tower.json"
+    assert run("tower", "build", "--N", "const:2", "--M", "const:2",
+               "--t", "1/3", "--depth", "1300", "--out", str(tower_path)) == 0
+    capsys.readouterr()
+    assert run("tower", "eval", "--tower", str(tower_path),
+               "--level", "1300", "--x", "2/7") == 0
+    tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(2), F(1, 3), 1300)
+    assert capsys.readouterr().out.strip() == rat_to_str(eval_level(tower, 1300, F(2, 7)))
+
+
+def test_tent_degrees_capped_by_lap_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KNASTER_LAP_BUDGET", "1000")
+    svg = str(tmp_path / "p.svg")
+    assert run("plot", "--maps", "tent:1001", "--out", svg) == 2
+    assert run("plot", "--maps", "tent:1000", "--out", svg) == 0
+    assert run("lift", "--m", "3", "--n", "1001", "--q", "1", "--i", "0") == 2
+    assert run("lift", "--m", "3", "--n", "1000", "--q", "1", "--i", "0") == 0
+    assert run("lift", "--m", "1001", "--n", "1003", "--q", "1", "--i", "0") == 2
+    assert run("lifts", "--h", "tent:2", "--m", "1001") == 2
+    assert run("lifts", "--h", "tent:2", "--m", "1000", "--cap", "1") == 0
+    assert capsys.readouterr().err.count("exceeds the lap budget 1000") == 4
+    monkeypatch.setenv("KNASTER_LAP_BUDGET", "16")
+    assert run("semigroup", "--maxn", "5") == 2  # largest tent is 5 * 5
+    assert run("semigroup", "--maxn", "4") == 0
 
 
 def test_materialize_budget_env(tmp_path, monkeypatch):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import knaster
 from knaster import (
     SeqSpec,
     build_tower,
@@ -172,3 +177,22 @@ def test_certificates_over_mixed_sequences():
     cert = make_certificate(raw, target, F(1, 8), F(3, 4), 2)
     assert verify_certificate(cert, raw, target)
     assert cert.vs == 0
+
+
+def test_certificate_value_checks_survive_optimized_mode():
+    # under python -O an assert statement vanishes; these checks must not
+    script = (
+        "from fractions import Fraction\n"
+        "import knaster.distinguish as d\n"
+        "d.eval_level = lambda tower, j, x: Fraction(1, 2)\n"
+        "try:\n"
+        "    d.make_certificate(d.SeqSpec.constant(2), d.SeqSpec.constant(2), 0, Fraction(1, 2), 4)\n"
+        "except AssertionError as exc:\n"
+        "    print('raised:', exc)\n"
+        "else:\n"
+        "    print('returned a certificate')\n"
+    )
+    src = str(Path(knaster.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert proc.stdout.strip() == "raised: s-tower value 1/2 at witness 3/16 is not exactly 0"

@@ -18,6 +18,7 @@ from knaster import (
     tent_preimages,
     wave_eval,
 )
+from knaster.plmap import tent_branch
 
 F = Fraction
 
@@ -274,3 +275,13 @@ def test_tent_preimages_fan():
                 assert len(pts) == (n + 1) // 2
             else:
                 assert len(pts) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.data(),
+       st.fractions(min_value=0, max_value=1, max_denominator=1000))
+def test_tent_branch_lies_on_its_leg(n, data, y):
+    c = data.draw(st.integers(min_value=0, max_value=n - 1))
+    x = tent_branch(n, c, y)
+    assert F(c, n) <= x <= F(c + 1, n)
+    assert tent(n)(x) == y

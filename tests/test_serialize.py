@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -82,9 +83,25 @@ def test_seqspec_roundtrip():
         seqspec_from_obj({"kind": "spiral"})
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "list", "items": [2.9, 3, 8]},
+    {"kind": "list", "items": [2, "3", 8]},
+    {"kind": "list", "items": "238"},
+    {"kind": "periodic", "prefix": [8.0], "period": [3]},
+    {"kind": "periodic", "prefix": [], "period": ["3"]},
+])
+def test_seqspec_rejects_non_integer_terms(bad):
+    with pytest.raises(ValueError):
+        seqspec_from_obj(bad)
+
+
 def test_natmap_roundtrip():
     spec = NaturalMapSpec(9, (0, 1, 2, 3), c2, SeqSpec.constant(3))
     assert natmap_from_obj(json.loads(dumps(natmap_to_obj(spec)))) == spec
+    obj = natmap_to_obj(spec)
+    for jseq in ([0.7, "1", 2.2], [0, True, 2], "012"):
+        with pytest.raises(ValueError):
+            natmap_from_obj({**obj, "jseq": jseq})
 
 
 def test_thread_roundtrip():
@@ -108,6 +125,7 @@ def test_tower_roundtrip_and_reverification():
     again = tower_from_obj(obj)
     assert again.depth == 5
     assert [l.folds for l in again.levels] == [l.folds for l in tower.levels]
+    assert all(set(rec) == {"n", "m", "slot", "k"} for rec in obj["levels"])
 
     bad = json.loads(dumps(tower_to_obj(tower)))
     bad["levels"][2]["k"] += 1
@@ -117,6 +135,34 @@ def test_tower_roundtrip_and_reverification():
     short["levels"] = short["levels"][:-1]
     with pytest.raises(ValueError):
         tower_from_obj(short)
+
+
+# A tower record in the older format, which also stored each level's derived
+# rationals: the leftmost preimages a and b and the fold points.
+OLDER_TOWER = {
+    "rawN": {"kind": "constant", "n": 2}, "M": {"kind": "constant", "n": 2},
+    "t": "1/3", "depth": 3,
+    "levels": [
+        {"n": 8, "m": 2, "slot": 0, "k": 0, "a": "0", "b": "1",
+         "folds": ["0", "1/8", "1/4"]},
+        {"n": 16, "m": 2, "slot": 0, "k": 0, "a": "0", "b": "1/4",
+         "folds": ["0", "7/64", "1/8"]},
+        {"n": 16, "m": 2, "slot": 1, "k": 6, "a": "0", "b": "1/8",
+         "folds": ["3/8", "63/128", "1/2"]},
+    ],
+}
+
+
+def test_tower_older_format_loads():
+    tower = tower_from_obj(copy.deepcopy(OLDER_TOWER))
+    assert tower.levels == build_tower(c2, c2, F(1, 3), 3).levels
+    assert [[rat_to_str(x) for x in lvl.folds] for lvl in tower.levels] == \
+        [rec["folds"] for rec in OLDER_TOWER["levels"]]
+    for k in (7, 6.0, "6"):
+        bad = copy.deepcopy(OLDER_TOWER)
+        bad["levels"][2]["k"] = k
+        with pytest.raises(ValueError):
+            tower_from_obj(bad)
 
 
 def test_certificate_roundtrip():

@@ -132,7 +132,7 @@ def test_build_tower_desk_level1():
     tower = build_tower(c2, c2, F(0), 1)
     lvl = tower.level(1)
     assert (lvl.n, lvl.m, lvl.slot, lvl.k) == (8, 2, 0, 0)
-    assert lvl.a == 0 and lvl.b == 1
+    assert lvl.folds == _fold_points(lvl.n, lvl.k, lvl.m, F(0), F(1))
 
 
 def test_build_tower_t1_slots():
@@ -182,7 +182,7 @@ def test_tracked_preimages_match_materialized(t):
         # next level consumed exactly these
         if j < 4:
             nxt = tower.level(j + 1)
-            assert nxt.b == lvl.b_self
+            assert nxt.folds == _fold_points(nxt.n, nxt.k, nxt.m, F(0), lvl.b_self)
 
 
 def test_tower_matches_lift_kernel():
@@ -265,6 +265,19 @@ def test_level_range_differential(pair, t, j, data):
     b = data.draw(st.one_of(st.just(a), point))  # lo == hi included
     a, b = min(a, b), max(a, b)
     assert level_range(tower, j, a, b) == range_on(maps[j], a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("const:2", "const:3", "periodic:2|3,2")),
+       st.fractions(min_value=0, max_value=1, max_denominator=12))
+def test_tracked_preimages_differential(target, t):
+    # the three targets give both parities of m, of k and of c = k + m - 1
+    # within levels 1-3, so every leg choice in build_tower runs
+    tower, maps = small_tower(("const:2", target), t)
+    for j in range(1, 4):
+        lvl = tower.level(j)
+        assert leftmost_preimage(maps[j], 1) == lvl.b_self
+        assert rightmost_preimage(maps[j], 0) == lvl.zmax_self
 
 
 def test_level_range_deep_no_recursion_error():
