@@ -273,10 +273,6 @@ def rightmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
     return None
 
 
-def is_onto(f: PLMap) -> bool:
-    return range_on(f, ZERO, ONE) == (ZERO, ONE)
-
-
 def tent_preimages(n: int, y: RatLike) -> list[Fraction]:
     """All solutions of tent(n)(x) = y, in increasing order."""
     y = as_rat(y)

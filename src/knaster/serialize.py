@@ -1,7 +1,7 @@
 """JSON wire formats. Every rational crosses the boundary as an exact string.
 
-Rationals are serialized as "p/q" in lowest terms ("p" alone when q = 1)
-and parsing is strict: non-reduced fractions, zero or negative
+Rationals are serialized as "p/q" in lowest terms ("p" alone when q = 1),
+at any length, and parsing is strict: non-reduced fractions, zero or negative
 denominators, leading zeros and any other junk are rejected, as are
 out-of-range values wherever the carrying structure constrains them.
 Integers are JSON integers; floats, strings and booleans are rejected.
@@ -24,14 +24,35 @@ from .seqs import GroupedSeq, SeqSpec
 from .threads import Thread
 from .tower import Tower, build_tower
 
-_RAT_RE = re.compile(r"^(-?(?:0|[1-9][0-9]*))(?:/([1-9][0-9]*))?$")
+_RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
+
+
+# str() and int() refuse integers longer than sys.get_int_max_str_digits()
+# (4300 digits by default, at least 640), so longer ones go in halves.
+def _int_to_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_to_str(-n)
+        half = n.bit_length() * 3 // 20  # about half the digit count
+        high, low = divmod(n, 10 ** half)
+        return _int_to_str(high) + _int_to_str(low).zfill(half)
+
+
+def _digits_to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _digits_to_int(digits[:-half]) * 10 ** half + _digits_to_int(digits[-half:])
 
 
 def rat_to_str(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _int_to_str(x.numerator)
+    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -40,8 +61,9 @@ def rat_from_str(text: str) -> Fraction:
     match = _RAT_RE.match(text)
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
-    num = int(match.group(1))
-    den = int(match.group(2) or 1)
+    sign, digits, den_digits = match.groups()
+    num = -_digits_to_int(digits) if sign else _digits_to_int(digits)
+    den = _digits_to_int(den_digits or "1")
     if gcd(abs(num), den) != 1:
         raise ValueError(f"rational {text!r} is not in lowest terms")
     return Fraction(num, den)

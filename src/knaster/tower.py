@@ -8,8 +8,9 @@ the domain pinned near 0 (left of the window) or near 1 (right of it).
 Iterating the kernel with q = level index and i = slot_index(t, j) yields,
 for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
-lap count of f_j grows like n_1*...*n_j, so each level stores only its fold
-points plus two tracked preimages, and evaluation descends the levels.
+lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
+two tracked preimages, its fold points follow by leg arithmetic, and
+evaluation descends the levels.
 Exact range queries descend too: every level is onto, so a stretch of the
 domain holding a whole tent leg of level j has the range of f_{j-1} over
 [0, 1], and a query costs O(m_j) work per distinct subinterval at each level
@@ -19,9 +20,9 @@ instead of one piece per tent fold, iteratively, at any depth.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .plmap import (
     ONE,
@@ -96,24 +97,6 @@ def _fold_points(n: int, k: int, m: int, a: Fraction, b: Fraction) -> tuple[Frac
     return pts
 
 
-def _fold_into_branches(f: PLMap, n: int, m: int, boundaries) -> PLMap:
-    """The lift step: glue the inverse branches of tent(m) over f∘tent(n),
-    switching legs at the given boundary points (where f∘tent(n) hits 1 or 0
-    alternately)."""
-    base = compose(f, tent(n))
-    merged: list[tuple[Fraction, Fraction]] = []
-    bi = 0
-    for x, y in base.points:
-        while bi < len(boundaries) and boundaries[bi] < x:
-            merged.append((boundaries[bi], base(boundaries[bi])))
-            bi += 1
-        if bi < len(boundaries) and boundaries[bi] == x:
-            bi += 1
-        merged.append((x, y))
-    return PLMap(
-        [(x, tent_branch(m, bisect_right(boundaries, x), y)) for x, y in merged])
-
-
 def construct_lift(spec: LiftSpec) -> PLMap:
     """The lift f1 with tent(m)∘f1 = f0∘tent(n), sweeping inside [i/q, (i+1)/q].
 
@@ -129,8 +112,17 @@ def construct_lift(spec: LiftSpec) -> PLMap:
     if a is None or b is None:
         raise ValueError("f0 must map [0, 1] onto itself")
     k = -(-spec.n * spec.i // spec.q)
-    folds = _fold_points(spec.n, k, spec.m, a, b)
-    return _fold_into_branches(f0, spec.n, spec.m, folds[1:spec.m])
+    bounds = _fold_points(spec.n, k, spec.m, a, b)[1:spec.m]
+    # bi counts the switch points at or left of x: the branch index at x
+    pts, bi = [], 0
+    for x, y in compose(f0, tent(spec.n)).points:
+        while bi < len(bounds) and bounds[bi] < x:
+            bi += 1
+            pts.append((bounds[bi - 1], Fraction(bi, spec.m)))  # f1(t_lam) = lam/m
+        if bi < len(bounds) and bounds[bi] == x:
+            bi += 1
+        pts.append((x, tent_branch(spec.m, bi, y)))
+    return PLMap(pts)
 
 
 @dataclass(frozen=True)
@@ -181,35 +173,40 @@ def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
 
 @dataclass(frozen=True)
 class LevelData:
-    """Fold data of one tower level.
-
-    folds are the lift step's fold points t_0..t_m. b_self and zmax_self
-    track this level's own leftmost 1-preimage and rightmost 0-preimage; they
-    are what the next level needs, so towers never have to materialize
-    anything. All of it follows from (n, m, slot, k) and the levels below.
-    """
+    """One tower level. Its fold points t_lam = tent_branch(n, k + lam, 0 or
+    the level below's b_self) are derived, not stored; b_self and zmax_self
+    track this level's own leftmost 1-preimage and rightmost 0-preimage, which
+    the next level needs, so towers never have to materialize anything."""
 
     j: int
     n: int
     m: int
     slot: int
     k: int
-    folds: tuple[Fraction, ...]
     b_self: Fraction
     zmax_self: Fraction
 
-    @property
-    def boundaries(self) -> tuple[Fraction, ...]:
-        """Branch-switch points t_1..t_{m-1}."""
-        return self.folds[1:self.m]
+
+def _branch(lvl: LevelData, b_prev: Fraction, c: int, u: Fraction) -> int:
+    """Branch index of lvl (its switch points t_1..t_{m-1} at or left of x) at
+    x on tent leg c = floor(n*x), u = tent(n)(x). t_lam lies on leg k + lam and
+    maps to 0 (lam even) or b_prev (lam odd), and tent(n) rises on even legs,
+    falls on odd ones, so only t_{c-k} needs a compare."""
+    d = c - lvl.k
+    if d < 1:
+        return 0
+    if d >= lvl.m:
+        return lvl.m - 1
+    y = b_prev if d % 2 else ZERO
+    return d if (y <= u if c % 2 == 0 else u <= y) else d - 1
 
 
 class Tower:
     """The family {f_j} for fixed (raw source sequence, target sequence, t).
 
-    Levels hold O(m_j) rationals each. Evaluation is lazy; materialization is
-    opt-in and guarded by an explicit lap budget. Construction is sequential,
-    evaluation afterwards is pure.
+    Levels hold four integers and two rationals each. Evaluation is lazy;
+    materialization is opt-in and guarded by an explicit lap budget.
+    Construction is sequential, evaluation afterwards is pure.
     """
 
     def __init__(self, raw_source: SeqSpec, target: SeqSpec, t: Fraction,
@@ -248,7 +245,6 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
             raise ValueError(f"level {j}: n = {n} does not exceed (m+2)j = {(m + 2) * j}")
         slot = slot_index(t, j)
         k = -(-n * slot // j)
-        folds = _fold_points(n, k, m, ZERO, b_prev)
         # Where this level's map first reaches 1: past fold t_{m-1}, on leg c,
         # the map is the top branch, so it reaches 1 where the previous map
         # next hits 1 (m odd: on the first even leg from c) or 0 (m even: at
@@ -261,8 +257,7 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         # Zeros live left of t_1 only; the rightmost one mirrors the previous
         # level's rightmost zero through the first even leg from k.
         z_self = tent_branch(n, k + k % 2, z_prev)
-        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, folds=folds,
-                                b_self=b_self, zmax_self=z_self))
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self, zmax_self=z_self))
         b_prev, z_prev = b_self, z_self
     return Tower(raw_source, target, t, grouped, levels)
 
@@ -276,12 +271,14 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
         raise ValueError(f"level {j} not built (depth {tower.depth})")
     legs = []
     for lvl in reversed(tower.levels[:j]):
-        boundaries = lvl.boundaries
-        legs.append((bisect_right(boundaries, x), lvl.m))
-        x = wave_eval(lvl.n * x)
-    y = x
-    for lam, m in reversed(legs):
-        y = tent_branch(m, lam, y)
+        s = lvl.n * x
+        c = s.numerator // s.denominator
+        x = s - c if c % 2 == 0 else c + 1 - s  # tent(n)(x) on leg c
+        legs.append((lvl, c, x))
+    y, b_prev = x, ONE
+    for lvl, c, u in reversed(legs):
+        y = tent_branch(lvl.m, _branch(lvl, b_prev, c, u), y)
+        b_prev = lvl.b_self
     return y
 
 
@@ -300,7 +297,7 @@ def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET
     f = cache[start]
     for idx in range(start + 1, j + 1):
         lvl = tower.levels[idx - 1]
-        f = _fold_into_branches(f, lvl.n, lvl.m, lvl.boundaries)
+        f = construct_lift(LiftSpec(lvl.m, lvl.n, q=idx, i=lvl.slot, f0=f))
         cache[idx] = f
     return cache[j]
 
@@ -308,7 +305,7 @@ def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET
 def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fraction, Fraction]:
     """Exact (min, max) of f_j over [lo, hi], computed lazily.
 
-    On a piece of [lo, hi] between two of level j's branch boundaries, f_j is
+    On a piece of [lo, hi] between two of level j's branch switches, f_j is
     one monotone inverse branch of tent(m_j) applied to f_{j-1}∘tent(n_j), so
     its range is that branch applied to f_{j-1}'s range over the tent image of
     the piece. A piece holding a whole tent leg has image [0, 1] (the memoized
@@ -328,13 +325,14 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     return _level_range(tower, j, lo, hi)
 
 
-def _range_pieces(lvl: LevelData, lo: Fraction, hi: Fraction):
-    """Split [lo, hi] at the branch boundaries: (leg, interval) pairs, the
+def _range_pieces(lvl: LevelData, b_prev: Fraction, lo: Fraction, hi: Fraction):
+    """Split [lo, hi] at the branch switches: (leg, interval) pairs, the
     interval being the piece's image under tent(n_j), where f_{j-1} is queried."""
-    bounds = lvl.boundaries
-    first = bisect_right(bounds, lo)
-    cuts = (lo, *bounds[first:bisect_left(bounds, hi)], hi)
     n = lvl.n
+    first = _branch(lvl, b_prev, math.floor(n * lo), wave_eval(n * lo))
+    later = (tent_branch(n, lvl.k + lam, b_prev if lam % 2 else ZERO)
+             for lam in range(first + 1, lvl.m))
+    cuts = (lo, *takewhile(lambda t: t < hi, later), hi)
     pieces = []
     for lam, (p, q) in enumerate(zip(cuts, cuts[1:]), first):
         c_lo = -(-p.numerator * n // p.denominator)
@@ -367,7 +365,8 @@ def _level_range(tower: Tower, j: int, lo: Fraction, hi: Fraction) -> tuple[Frac
     need = {(lo, hi)}
     for level in range(j, 0, -1):
         lvl = tower.levels[level - 1]
-        plan = {iv: _range_pieces(lvl, *iv) for iv in need if (level, *iv) not in memo}
+        b_prev = tower.levels[level - 2].b_self if level > 1 else ONE
+        plan = {iv: _range_pieces(lvl, b_prev, *iv) for iv in need if (level, *iv) not in memo}
         if not plan:
             break
         plans.append((level, plan))
@@ -408,11 +407,12 @@ def check_level_conditions(tower: Tower, j: int) -> ConditionReport:
 def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
     """Distinct continuous maps f with tent(m)∘f = h, at most cap of them.
 
-    Depth-first over the branch choices available where h hits 0 or 1. At a
-    branch point the continuation that keeps f's current direction is tried
-    first (so monotone lifts such as tent(k) for h = tent(m*k) come out
-    early); with no direction yet, the smaller-valued continuation goes
-    first. Initial values run over tent(m)^{-1}(h(0)) in increasing order.
+    Depth-first, on an explicit stack, over the branch choices available
+    where h hits 0 or 1. At a branch point the continuation that keeps f's
+    current direction is tried first (so monotone lifts such as tent(k) for
+    h = tent(m*k) come out early); with no direction yet, the smaller-valued
+    continuation goes first. Initial values run over tent(m)^{-1}(h(0)) in
+    increasing order.
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("tent index must be a positive integer")
@@ -422,12 +422,20 @@ def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
     ys = [y for _, y in h.points]
     last = len(xs) - 1
     out: list[PLMap] = []
-
-    def descend(idx: int, vals: list[Fraction], direction: int) -> bool:
+    # Explicit stack of (index, value, direction) nodes, children pushed in
+    # reverse so they pop in order. A popped node at idx shares vals[:idx]
+    # with its parent's path, which no later node has overwritten yet.
+    vals: list[Fraction] = []
+    stack = [(0, v0, 0) for v0 in reversed(tent_preimages(m, ys[0]))]
+    while stack:
+        idx, v, direction = stack.pop()
+        del vals[idx:]
+        vals.append(v)
         if idx == last:
             out.append(PLMap(list(zip(xs, vals))))
-            return len(out) < cap
-        v = vals[-1]
+            if len(out) == cap:
+                break
+            continue
         y0, y1 = ys[idx], ys[idx + 1]
         if y0 != ZERO and y0 != ONE:
             legs = [math.floor(v * m)]  # interior of a single leg, no choice
@@ -438,14 +446,8 @@ def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
             else:
                 pair = [c, c - 1] if direction > 0 else [c - 1, c]
                 legs = [leg for leg in pair if 0 <= leg <= m - 1]
-        for leg in legs:
+        for leg in reversed(legs):
             w = tent_branch(m, leg, y1)
             nd = direction if w == v else (1 if w > v else -1)
-            if not descend(idx + 1, vals + [w], nd):
-                return False
-        return True
-
-    for v0 in tent_preimages(m, ys[0]):
-        if not descend(0, [v0], 0):
-            break
+            stack.append((idx + 1, w, nd))
     return out

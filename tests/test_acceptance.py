@@ -4,6 +4,7 @@ Each test prints a single PASS line (visible with -s or in captured output);
 a pytest failure is the corresponding FAIL line.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -16,6 +17,7 @@ from knaster import (
     PLMap,
     SeqSpec,
     LiftSpec,
+    LevelData,
     Thread,
     apply_natmap,
     apply_tower,
@@ -248,9 +250,11 @@ def test_criterion_10_performance():
     per_point = (time.monotonic() - eval_start) / len(points)
     assert per_point < 0.1, f"eval at j=100 took {per_point * 1000:.1f} ms/point"
 
-    # memory stays O(sum m_j): folds only, nothing materialized
-    fold_count = sum(len(lvl.folds) for lvl in tower.levels)
-    assert fold_count == sum(lvl.m for lvl in tower.levels) + tower.depth
+    # memory stays O(depth): seven scalars per level, nothing materialized
+    fields = [f.name for f in dataclasses.fields(LevelData)]
+    assert fields == ["j", "n", "m", "slot", "k", "b_self", "zmax_self"]
+    assert all(isinstance(getattr(lvl, name), (int, F))
+               for lvl in tower.levels for name in fields)
     assert not tower._materialized
     _report(10, f"performance (build {build_elapsed:.2f}s, "
                 f"eval {per_point * 1000:.1f} ms/point at j=100)", started)

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from knaster.cli import _parser, build_parser, main
-from knaster.serialize import dumps, plmap_from_obj, rat_to_str, thread_to_obj
+from knaster.serialize import dumps, plmap_from_obj, rat_from_str, rat_to_str, thread_to_obj
 from knaster import SeqSpec, Thread, build_tower, compose, eval_level, tent
 
 F = Fraction
@@ -91,6 +91,21 @@ def test_tower_round_trip_at_depth_1300(tmp_path, capsys):
                "--level", "1300", "--x", "2/7") == 0
     tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(2), F(1, 3), 1300)
     assert capsys.readouterr().out.strip() == rat_to_str(eval_level(tower, 1300, F(2, 7)))
+
+
+def test_wide_tower_eval_at_depth_1500(tmp_path, capsys):
+    # with m_j = 1000 every level used to store 1001 fold rationals, and
+    # f_1500(x) has more digits than int-to-str's default 4300-digit limit
+    tower_path = tmp_path / "tower.json"
+    assert run("tower", "build", "--N", "const:2", "--M", "const:1000",
+               "--t", "1/3", "--depth", "1500", "--out", str(tower_path)) == 0
+    capsys.readouterr()
+    assert run("tower", "eval", "--tower", str(tower_path),
+               "--level", "1500", "--x", "2/7") == 0
+    tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(1000), F(1, 3), 1500)
+    out = capsys.readouterr().out.strip()
+    assert len(out.partition("/")[2]) > 4300
+    assert rat_from_str(out) == eval_level(tower, 1500, F(2, 7))
 
 
 def test_tent_degrees_capped_by_lap_budget(tmp_path, monkeypatch, capsys):
@@ -195,6 +210,13 @@ def test_lifts_cli(tmp_path):
     assert len(maps) == 3
     for f in maps:
         assert compose(tent(3), f) == tent(7)
+
+
+def test_lifts_cli_many_breakpoints(capsys):
+    # tent:1000 has 1001 breakpoints, past the recursion limit of a search
+    # that recursed once per breakpoint
+    assert run("lifts", "--h", "tent:1000", "--m", "2", "--cap", "1") == 0
+    assert capsys.readouterr().out.strip() == "1 lift(s), 0 failed recomposition"
 
 
 def test_thread_commands(tmp_path, capsys):

@@ -1,8 +1,12 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knaster import PLMap, compose, enumerate_lifts, tent, tent_preimages
+from knaster.plmap import tent_branch
 
 F = Fraction
 
@@ -40,6 +44,51 @@ def oracle_lifts(h: PLMap, m: int) -> set[PLMap]:
         for w in step(vals[-1], ys[len(vals)]):
             stack.append(vals + [w])
     return done
+
+
+def recursive_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
+    """Reference for enumerate_lifts' output order: the recursive depth-first
+    search it replaced, one call per breakpoint of h."""
+    xs = h.xs
+    ys = [y for _, y in h.points]
+    last = len(xs) - 1
+    out: list[PLMap] = []
+
+    def descend(idx, vals, direction):
+        if idx == last:
+            out.append(PLMap(list(zip(xs, vals))))
+            return len(out) < cap
+        v = vals[-1]
+        y0, y1 = ys[idx], ys[idx + 1]
+        if y0 != 0 and y0 != 1:
+            legs = [math.floor(v * m)]
+        else:
+            c = int(v * m)
+            if y1 == y0:
+                legs = [min(c, m - 1)]
+            else:
+                pair = [c, c - 1] if direction > 0 else [c - 1, c]
+                legs = [leg for leg in pair if 0 <= leg <= m - 1]
+        for leg in legs:
+            w = tent_branch(m, leg, y1)
+            nd = direction if w == v else (1 if w > v else -1)
+            if not descend(idx + 1, vals + [w], nd):
+                return False
+        return True
+
+    for v0 in tent_preimages(m, ys[0]):
+        if not descend(0, [v0], 0):
+            break
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((F(0), F(1), F(1, 3), F(1, 2), F(3, 4))), min_size=2, max_size=7),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=60))
+def test_enumerate_lifts_matches_recursive_order(values, m, cap):
+    h = PLMap([(F(i, len(values) - 1), y) for i, y in enumerate(values)])
+    assert enumerate_lifts(h, m, cap) == recursive_lifts(h, m, cap)
 
 
 def test_tent6_through_two_contains_both_named_lifts():

@@ -29,6 +29,7 @@ from knaster.serialize import (
     tower_from_obj,
     tower_to_obj,
 )
+from knaster.tower import _fold_points
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -41,6 +42,17 @@ def test_rat_strings():
     assert rat_from_str("4") == F(4)
     assert rat_from_str("0") == 0
     assert rat_from_str("-2/5") == F(-2, 5)
+
+
+def test_rat_strings_past_int_str_limit():
+    # str() and int() refuse more than 4300 digits by default
+    text = "-" + "2" * 5001 + "/1" + "0" * 4399 + "3"
+    x = F(-2 * (10 ** 5001 - 1) // 9, 10 ** 4400 + 3)
+    assert rat_to_str(x) == text
+    assert rat_from_str(text) == x
+    assert rat_from_str(rat_to_str(x ** 9)) == x ** 9
+    with pytest.raises(ValueError):
+        rat_from_str("2" * 5000 + "/" + "4" * 5000)  # not in lowest terms
 
 
 @pytest.mark.parametrize("bad", [
@@ -124,7 +136,7 @@ def test_tower_roundtrip_and_reverification():
     obj = json.loads(dumps(tower_to_obj(tower)))
     again = tower_from_obj(obj)
     assert again.depth == 5
-    assert [l.folds for l in again.levels] == [l.folds for l in tower.levels]
+    assert again.levels == tower.levels
     assert all(set(rec) == {"n", "m", "slot", "k"} for rec in obj["levels"])
 
     bad = json.loads(dumps(tower_to_obj(tower)))
@@ -156,8 +168,12 @@ OLDER_TOWER = {
 def test_tower_older_format_loads():
     tower = tower_from_obj(copy.deepcopy(OLDER_TOWER))
     assert tower.levels == build_tower(c2, c2, F(1, 3), 3).levels
-    assert [[rat_to_str(x) for x in lvl.folds] for lvl in tower.levels] == \
-        [rec["folds"] for rec in OLDER_TOWER["levels"]]
+    # the older file's fold points are the ones the rebuilt tower derives
+    derived, b_prev = [], F(1)
+    for lvl in tower.levels:
+        derived.append([rat_to_str(x) for x in _fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)])
+        b_prev = lvl.b_self
+    assert derived == [rec["folds"] for rec in OLDER_TOWER["levels"]]
     for k in (7, 6.0, "6"):
         bad = copy.deepcopy(OLDER_TOWER)
         bad["levels"][2]["k"] = k

@@ -1,5 +1,10 @@
+import math
+import os
 import random
+import subprocess
+import sys
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -7,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knaster
 from knaster import (
     LapBudgetError,
     LiftSpec,
@@ -30,7 +36,8 @@ from knaster import (
     tent,
 )
 from knaster.cli import parse_seq
-from knaster.tower import _fold_points
+from knaster.plmap import wave_eval
+from knaster.tower import _branch, _fold_points, _range_pieces
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -132,7 +139,10 @@ def test_build_tower_desk_level1():
     tower = build_tower(c2, c2, F(0), 1)
     lvl = tower.level(1)
     assert (lvl.n, lvl.m, lvl.slot, lvl.k) == (8, 2, 0, 0)
-    assert lvl.folds == _fold_points(lvl.n, lvl.k, lvl.m, F(0), F(1))
+    # level 1 folds over the identity: odd fold points map to b_prev = 1
+    folds = _fold_points(lvl.n, lvl.k, lvl.m, F(0), F(1))
+    assert folds == (F(0), F(1, 8), F(1, 4))
+    assert [eval_level(tower, 1, t) for t in folds] == [F(0), F(1, 2), F(1)]
 
 
 def test_build_tower_t1_slots():
@@ -179,10 +189,13 @@ def test_tracked_preimages_match_materialized(t):
         lvl = tower.level(j)
         assert leftmost_preimage(f, 1) == lvl.b_self
         assert rightmost_preimage(f, 0) == lvl.zmax_self
-        # next level consumed exactly these
+        # next level consumed exactly these: its fold points derived from
+        # b_self are where f_{j+1} takes the values lam/m
         if j < 4:
             nxt = tower.level(j + 1)
-            assert nxt.folds == _fold_points(nxt.n, nxt.k, nxt.m, F(0), lvl.b_self)
+            folds = _fold_points(nxt.n, nxt.k, nxt.m, F(0), lvl.b_self)
+            assert [materialize_level(tower, j + 1)(x) for x in folds] == \
+                [F(lam, nxt.m) for lam in range(nxt.m + 1)]
 
 
 def test_tower_matches_lift_kernel():
@@ -254,11 +267,13 @@ def small_tower(pair, t):
        st.data())
 def test_level_range_differential(pair, t, j, data):
     tower, maps = small_tower(pair, t)
-    # endpoints: arbitrary rationals, 0 and 1, branch boundaries and fold points k/n_j
+    # endpoints: arbitrary rationals, 0 and 1, fold points t_lam and tent folds k/n_j
     special = [F(0), F(1)]
     if j:
         lvl = tower.level(j)
-        special += list(lvl.folds) + [F(k, lvl.n) for k in range(lvl.n + 1)]
+        b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
+        special += list(_fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev))
+        special += [F(k, lvl.n) for k in range(lvl.n + 1)]
     point = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=1000),
                       st.sampled_from(special))
     a = data.draw(point)
@@ -299,6 +314,92 @@ def test_level_conditions_every_level_depth_1000():
     for j in range(1, 1001):
         assert check_level_conditions(tower, j).all_ok, j
     assert time.perf_counter() - t0 < 15.0
+
+
+def stored_range_pieces(n, bounds, lo, hi):
+    """Reference for _range_pieces: the stored-fold version, which cut [lo, hi]
+    at bisections of the stored switch points t_1..t_{m-1}."""
+    first = bisect_right(bounds, lo)
+    cuts = (lo, *bounds[first:bisect_left(bounds, hi)], hi)
+    pieces = []
+    for lam, (p, q) in enumerate(zip(cuts, cuts[1:]), first):
+        c_lo, c_hi = math.ceil(n * p), math.floor(n * q)
+        if c_hi > c_lo:
+            pieces.append((lam, (F(0), F(1))))
+            continue
+        u1, u2 = sorted((wave_eval(n * p), wave_eval(n * q)))
+        if c_hi == c_lo:
+            if c_lo % 2 == 0:
+                u1 = F(0)
+            else:
+                u2 = F(1)
+        pieces.append((lam, (u1, u2)))
+    return pieces
+
+
+# targets with m in {2, 3, 5}, so switch points t_lam of both parities of lam
+# lie on even and on odd tent legs (checked below)
+LEG_PAIRS = (("const:2", "const:2"), ("const:2", "const:3"), ("const:3", "const:5"),
+             ("periodic:3|2,5", "periodic:2|2,3"), ("const:2", "periodic:5|3,2"))
+
+
+@pytest.mark.parametrize("pair", LEG_PAIRS)
+@pytest.mark.parametrize("t", (F(0), F(1, 3), F(1, 2), F(5, 8), F(1)))
+def test_leg_arithmetic_matches_stored_folds(pair, t):
+    tower = build_tower(parse_seq(pair[0]), parse_seq(pair[1]), t, 5)
+    rng = random.Random(f"{pair} {t}")
+    eps = F(1, 10 ** 9)
+    b_prev = F(1)
+    for lvl in tower.levels:
+        n = lvl.n
+        folds = _fold_points(n, lvl.k, lvl.m, F(0), b_prev)
+        bounds = folds[1:lvl.m]
+        points = [*folds, *(F(c, n) for c in range(n + 1)),
+                  *(F(rng.randint(0, 10 ** 6), 10 ** 6) for _ in range(40))]
+        points += [x + d for x in folds for d in (-eps, eps) if 0 <= x + d <= 1]
+        for x in points:
+            lam = _branch(lvl, b_prev, math.floor(n * x), wave_eval(n * x))
+            assert lam == bisect_right(bounds, x), (lvl.j, x)
+        pairs = [(x, x) for x in points] + [sorted(rng.sample(points, 2)) for _ in range(300)]
+        pairs += [(lo, hi) for lo in folds for hi in folds if lo <= hi]
+        for lo, hi in pairs:
+            assert _range_pieces(lvl, b_prev, lo, hi) == \
+                stored_range_pieces(n, bounds, lo, hi), (lvl.j, lo, hi)
+        b_prev = lvl.b_self
+
+
+def test_leg_pairs_cover_targets_and_parities():
+    seen = set()
+    for pair in LEG_PAIRS:
+        for t in (F(0), F(1, 3), F(1, 2), F(5, 8), F(1)):
+            for lvl in build_tower(parse_seq(pair[0]), parse_seq(pair[1]), t, 5).levels:
+                seen |= {(lvl.m, (lvl.k + lam) % 2, lam % 2) for lam in range(1, lvl.m)}
+    assert {m for m, _, _ in seen} == {2, 3, 5}
+    assert {(leg, lam) for _, leg, lam in seen} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def test_wide_target_build_is_linear():
+    # m_j = 1000 at every level: a build that stored all m_j + 1 fold points
+    # per level took about 14 s and 236 MiB at depth 400 on a 2-vCPU host.
+    # A fresh interpreter times one build and traces the allocations of another.
+    code = (
+        "import time, tracemalloc\n"
+        "from knaster import SeqSpec, build_tower\n"
+        "build = lambda: build_tower(SeqSpec.constant(2), SeqSpec.constant(1000), '1/3', 400)\n"
+        "t0 = time.perf_counter()\n"
+        "build()\n"
+        "elapsed = time.perf_counter() - t0\n"
+        "tracemalloc.start()\n"
+        "build()\n"
+        "print(elapsed, tracemalloc.get_traced_memory()[1] / 2 ** 20)\n"
+    )
+    src = os.path.dirname(os.path.dirname(knaster.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120).stdout
+    elapsed, peak_mib = map(float, out.split())
+    assert elapsed < 1.0, f"depth-400 build took {elapsed:.2f} s"
+    assert peak_mib < 50, f"depth-400 build allocated up to {peak_mib:.0f} MiB"
 
 
 def test_fold_points_reject_bad_arguments():
