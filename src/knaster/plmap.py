@@ -1,13 +1,19 @@
 """Exact algebra of continuous piecewise-linear self-maps of [0, 1].
 
-Every coordinate is a `fractions.Fraction`, so evaluation, composition,
-lap counting and range queries are exact; there is no floating-point mode.
-The generators are the stretch-and-fold maps `tent(n)`: n monotone legs of
-slope +-n whose values alternate 0, 1, 0, ... at the fold points k/n.
+Every coordinate is exact, so evaluation, composition, lap counting and
+range queries are exact; there is no floating-point mode. The generators
+are the stretch-and-fold maps `tent(n)`: n monotone legs of slope +-n
+whose values alternate 0, 1, 0, ... at the fold points k/n.
 
-Composition towers blow up: lap counts multiply, so the hot paths here
-(bisection, interpolation, collinearity) work on numerator/denominator
-pairs directly instead of going through Fraction operator dispatch.
+Inside a PLMap each breakpoint (x, y) is the reduced integer triple
+(X, Y, W) with x = X/W, y = Y/W, W > 0 and gcd(X, Y, W) = 1, so equal
+points have equal triples. Read as homogeneous coordinates, the line
+through two points and the point where two lines meet are both one
+integer cross product: evaluation meets a segment with a vertical line,
+composition and the preimage scans meet it with a horizontal one, and a
+breakpoint is merged away when it lies on the line through its
+neighbours. Fractions appear only at the API boundary (`points`, `xs`,
+`__call__`, `range_on`, the preimages).
 """
 
 from __future__ import annotations
@@ -41,63 +47,46 @@ def wave_eval(t: RatLike) -> Fraction:
     return u if k % 2 == 0 else ONE - u
 
 
-def _lt(a: Fraction, b: Fraction) -> bool:
-    return a.numerator * b.denominator < b.numerator * a.denominator
+def _cross(u, v):
+    """Cross product of integer triples: the line through two points, or
+    the point where two lines meet."""
+    (a, b, c), (d, e, f) = u, v
+    return (b * f - c * e, c * d - a * f, a * e - b * d)
 
 
-def _bisect_right(xs, x: Fraction, lo: int = 0, hi: int | None = None) -> int:
-    """bisect.bisect_right with integer cross-multiplied comparisons."""
-    if hi is None:
-        hi = len(xs)
-    xn, xd = x.numerator, x.denominator
+def _reduce(p):
+    """The reduced triple of a homogeneous point with W != 0."""
+    x, y, w = p
+    g = math.gcd(x, y, w)
+    if w < 0:
+        g = -g
+    return (x // g, y // g, w // g)
+
+
+def _bisect(t, p: int, q: int, right: bool) -> int:
+    """bisect_right (right) or bisect_left of x = p/q, q > 0, over the x of t."""
+    lo, hi = 0, len(t)
     while lo < hi:
         mid = (lo + hi) // 2
-        v = xs[mid]
-        if v.numerator * xd <= xn * v.denominator:
+        x, _, w = t[mid]
+        if x * q - p * w < right:
             lo = mid + 1
         else:
             hi = mid
     return lo
 
 
-def _bisect_left(xs, x: Fraction, lo: int = 0, hi: int | None = None) -> int:
-    if hi is None:
-        hi = len(xs)
-    xn, xd = x.numerator, x.denominator
-    while lo < hi:
-        mid = (lo + hi) // 2
-        v = xs[mid]
-        if v.numerator * xd < xn * v.denominator:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _interpolate(x: Fraction, x0: Fraction, y0: Fraction,
-                 x1: Fraction, y1: Fraction) -> Fraction:
-    """y0 + (y1 - y0) * (x - x0) / (x1 - x0), one normalization at the end."""
-    a = x.numerator * x0.denominator - x0.numerator * x.denominator
-    b = x.denominator * x0.denominator
-    c = x1.numerator * x0.denominator - x0.numerator * x1.denominator
-    d = x1.denominator * x0.denominator
-    e = y1.numerator * y0.denominator - y0.numerator * y1.denominator
-    f = y1.denominator * y0.denominator
-    return Fraction(y0.numerator * f * b * c + y0.denominator * e * a * d,
-                    y0.denominator * f * b * c)
-
-
-def _collinear(p, q, r) -> bool:
-    (px, py), (qx, qy), (rx, ry) = p, q, r
-    a1 = qy.numerator * py.denominator - py.numerator * qy.denominator
-    b1 = py.denominator * qy.denominator
-    a2 = rx.numerator * qx.denominator - qx.numerator * rx.denominator
-    b2 = qx.denominator * rx.denominator
-    a3 = ry.numerator * qy.denominator - qy.numerator * ry.denominator
-    b3 = qy.denominator * ry.denominator
-    a4 = qx.numerator * px.denominator - px.numerator * qx.denominator
-    b4 = px.denominator * qx.denominator
-    return a1 * a2 * b3 * b4 == a3 * a4 * b1 * b2
+def _merge(t) -> tuple:
+    """Drop each breakpoint that lies on the line through its neighbours."""
+    merged = [t[0]]
+    for p in t[1:]:
+        while len(merged) >= 2:
+            a, b, c = _cross(merged[-2], merged[-1])
+            if a * p[0] + b * p[1] + c * p[2]:
+                break
+            merged.pop()
+        merged.append(p)
+    return tuple(merged)
 
 
 class PLMap:
@@ -109,54 +98,59 @@ class PLMap:
     Instances are immutable; all operations return new maps.
     """
 
-    __slots__ = ("points", "xs")
+    __slots__ = ("_t",)
 
     def __init__(self, points: Iterable[tuple[RatLike, RatLike]]):
-        pts = [(as_rat(x), as_rat(y)) for x, y in points]
-        if len(pts) < 2:
+        t = []
+        for x, y in points:
+            x, y = as_rat(x), as_rat(y)
+            # both in lowest terms, so over the lcm of their denominators
+            # the triple is reduced
+            w = math.lcm(x.denominator, y.denominator)
+            t.append((x.numerator * (w // x.denominator),
+                      y.numerator * (w // y.denominator), w))
+        if len(t) < 2:
             raise ValueError("a map needs at least two breakpoints")
-        if pts[0][0] != ZERO or pts[-1][0] != ONE:
+        if t[0][0] != 0 or t[-1][0] != t[-1][2]:
             raise ValueError("breakpoints must start at x=0 and end at x=1")
-        prev_n, prev_d = 0, 1  # x = 0
-        first = True
-        for x, y in pts:
-            if not first and x.numerator * prev_d <= prev_n * x.denominator:
+        for i, (x, y, w) in enumerate(t):
+            if i and x * t[i - 1][2] <= t[i - 1][0] * w:
                 raise ValueError(
-                    f"x-coordinates must increase strictly (at x = {x})")
-            prev_n, prev_d = x.numerator, x.denominator
-            first = False
-            if y.numerator < 0 or y.numerator > y.denominator:
-                raise ValueError(f"value {y} outside [0, 1]")
-        merged: list[tuple[Fraction, Fraction]] = [pts[0]]
-        for pt in pts[1:]:
-            while len(merged) >= 2 and _collinear(merged[-2], merged[-1], pt):
-                merged.pop()
-            merged.append(pt)
-        self.points: tuple[tuple[Fraction, Fraction], ...] = tuple(merged)
-        self.xs: list[Fraction] = [x for x, _ in merged]
+                    f"x-coordinates must increase strictly (at x = {Fraction(x, w)})")
+            if not 0 <= y <= w:
+                raise ValueError(f"value {Fraction(y, w)} outside [0, 1]")
+        self._t = _merge(t)
 
-    def _eval_unchecked(self, x: Fraction) -> Fraction:
-        i = _bisect_right(self.xs, x) - 1
-        if i == len(self.xs) - 1:
-            return self.points[-1][1]
-        (x0, y0), (x1, y1) = self.points[i], self.points[i + 1]
-        if x0.numerator * x.denominator == x.numerator * x0.denominator:
-            return y0
-        return _interpolate(x, x0, y0, x1, y1)
+    @property
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The breakpoints as (x, y) pairs, built afresh on each access."""
+        return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self._t)
+
+    @property
+    def xs(self) -> list[Fraction]:
+        """The breakpoint x-coordinates, built afresh on each access."""
+        return [Fraction(x, w) for x, _, w in self._t]
+
+    def _at(self, p: int, q: int):
+        """The reduced triple of the graph's point at x = p/q in [0, 1], q > 0."""
+        t = self._t
+        i = min(_bisect(t, p, q, True), len(t) - 1)
+        return _reduce(_cross(_cross(t[i - 1], t[i]), (q, 0, -p)))
 
     def __call__(self, x: RatLike) -> Fraction:
         x = as_rat(x)
         if x.numerator < 0 or x.numerator > x.denominator:
             raise ValueError(f"{x} outside [0, 1]")
-        return self._eval_unchecked(x)
+        _, y, w = self._at(x.numerator, x.denominator)
+        return Fraction(y, w)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PLMap):
             return NotImplemented
-        return self.points == other.points
+        return self._t == other._t
 
     def __hash__(self) -> int:
-        return hash(self.points)
+        return hash(self._t)
 
     def __repr__(self) -> str:
         inside = ", ".join(f"({x}, {y})" for x, y in self.points)
@@ -184,44 +178,38 @@ def tent(n: int) -> PLMap:
 
 def compose(outer: PLMap, inner: PLMap) -> PLMap:
     """Exact composition outer(inner(x)), refined at all slope changes."""
-    out_xs = outer.xs
-    out_pts = outer.points
-    pts: list[tuple[Fraction, Fraction]] = []
-    ipts = inner.points
-    for (x0, y0), (x1, y1) in zip(ipts, ipts[1:]):
-        pts.append((x0, outer._eval_unchecked(y0)))
-        if y1 == y0:
-            continue
-        if _lt(y0, y1):
-            idxs = range(_bisect_right(out_xs, y0), _bisect_left(out_xs, y1))
+    ot, it = outer._t, inner._t
+    pts = []
+    for p0, p1 in zip(it, it[1:]):
+        x0, y0, w0 = p0
+        _, v, w = outer._at(y0, w0)
+        pts.append(_reduce((x0 * w, v * w0, w0 * w)))
+        _, y1, w1 = p1
+        rise = y1 * w0 - y0 * w1
+        if rise > 0:
+            idxs = range(_bisect(ot, y0, w0, True), _bisect(ot, y1, w1, False))
+        elif rise < 0:
+            idxs = range(_bisect(ot, y0, w0, False) - 1, _bisect(ot, y1, w1, True) - 1, -1)
         else:
-            lo = _bisect_right(out_xs, y1)
-            hi = _bisect_left(out_xs, y0)
-            idxs = range(hi - 1, lo - 1, -1)
-        if not idxs:
             continue
-        # x = x0 + (u - y0) * (x1 - x0) / (y1 - y0), in integer pieces
-        sn = x1.numerator * x0.denominator - x0.numerator * x1.denominator
-        sd = x1.denominator * x0.denominator
-        en = y1.numerator * y0.denominator - y0.numerator * y1.denominator
-        ed = y1.denominator * y0.denominator
-        for idx in idxs:
-            u = out_xs[idx]
-            gn = u.numerator * y0.denominator - y0.numerator * u.denominator
-            gd = u.denominator * y0.denominator
-            num = x0.numerator * gd * sd * en + x0.denominator * gn * sn * ed
-            den = x0.denominator * gd * sd * en
-            pts.append((Fraction(num, den), out_pts[idx][1]))
-    pts.append((ONE, outer._eval_unchecked(ipts[-1][1])))
-    return PLMap(pts)
+        line = _cross(p0, p1)
+        for k in idxs:
+            u, v, w = ot[k]
+            # where inner's segment reaches height u/w, outer has value v/w
+            x, _, wx = _cross(line, (0, w, -u))
+            pts.append(_reduce((x * w, v * wx, wx * w)))
+    _, v, w = outer._at(it[-1][1], it[-1][2])
+    pts.append(_reduce((w, v, w)))
+    f = object.__new__(PLMap)
+    f._t = _merge(pts)
+    return f
 
 
 def lap(f: PLMap) -> int:
     """Number of maximal monotone pieces; constant runs join a neighbour."""
-    signs = []
-    for (_, y0), (_, y1) in zip(f.points, f.points[1:]):
-        if y1 != y0:
-            signs.append(y1 > y0)
+    t = f._t
+    rises = (y1 * w0 - y0 * w1 for (_, y0, w0), (_, y1, w1) in zip(t, t[1:]))
+    signs = [r > 0 for r in rises if r]
     if not signs:
         return 1
     return 1 + sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
@@ -232,45 +220,42 @@ def range_on(f: PLMap, a: RatLike, b: RatLike) -> tuple[Fraction, Fraction]:
     a, b = as_rat(a), as_rat(b)
     if not ZERO <= a <= b <= ONE:
         raise ValueError(f"bad interval [{a}, {b}]")
-    va, vb = f._eval_unchecked(a), f._eval_unchecked(b)
-    if _lt(vb, va):
-        lo, hi = vb, va
-    else:
-        lo, hi = va, vb
-    for i in range(_bisect_right(f.xs, a), _bisect_left(f.xs, b)):
-        y = f.points[i][1]
-        if _lt(y, lo):
-            lo = y
-        elif _lt(hi, y):
-            hi = y
-    return lo, hi
+    t = f._t
+    ap, aq, bp, bq = a.numerator, a.denominator, b.numerator, b.denominator
+    lo = hi = f._at(ap, aq)[1:]
+    for _, y, w in (f._at(bp, bq),) + t[_bisect(t, ap, aq, True):_bisect(t, bp, bq, False)]:
+        if y * lo[1] < lo[0] * w:
+            lo = (y, w)
+        elif y * hi[1] > hi[0] * w:
+            hi = (y, w)
+    return Fraction(*lo), Fraction(*hi)
+
+
+def _first_preimage(t, y: RatLike) -> Fraction | None:
+    """The first x, scanning the breakpoints t in order, where the graph
+    reaches height y; None when it never does."""
+    y = as_rat(y)
+    p, q = y.numerator, y.denominator
+    for p0, p1 in zip(t, t[1:]):
+        s0 = p0[1] * q - p * p0[2]
+        if s0 == 0:
+            return Fraction(p0[0], p0[2])
+        if s0 * (p1[1] * q - p * p1[2]) <= 0:
+            x, _, w = _cross(_cross(p0, p1), (0, q, -p))
+            return Fraction(x, w)
+    if t[-1][1] * q == p * t[-1][2]:
+        return Fraction(t[-1][0], t[-1][2])
+    return None
 
 
 def leftmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
     """Smallest x with f(x) = y, or None when y is not attained."""
-    y = as_rat(y)
-    for (x0, y0), (x1, y1) in zip(f.points, f.points[1:]):
-        if y0 == y:
-            return x0
-        if y0 != y1 and min(y0, y1) <= y <= max(y0, y1):
-            return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
-    if f.points[-1][1] == y:
-        return ONE
-    return None
+    return _first_preimage(f._t, y)
 
 
 def rightmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
     """Largest x with f(x) = y, or None when y is not attained."""
-    y = as_rat(y)
-    rev = f.points[::-1]
-    for (x1, y1), (x0, y0) in zip(rev, rev[1:]):
-        if y1 == y:
-            return x1
-        if y0 != y1 and min(y0, y1) <= y <= max(y0, y1):
-            return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
-    if f.points[0][1] == y:
-        return ZERO
-    return None
+    return _first_preimage(f._t[::-1], y)
 
 
 def tent_preimages(n: int, y: RatLike) -> list[Fraction]:

@@ -1,9 +1,10 @@
 """JSON wire formats. Every rational crosses the boundary as an exact string.
 
 Rationals are serialized as "p/q" in lowest terms ("p" alone when q = 1),
-at any length, and parsing is strict: non-reduced fractions, zero or negative
-denominators, leading zeros and any other junk are rejected, as are
-out-of-range values wherever the carrying structure constrains them.
+at any length, and parsing is strict: non-reduced fractions, a spelled-out
+denominator of 1, negative zero, zero or negative denominators, leading
+zeros and any other junk are rejected, as are out-of-range values wherever
+the carrying structure constrains them.
 Integers are JSON integers; floats, strings and booleans are rejected.
 A tower file holds only its inputs: the sequences, t, the depth and, per
 level, the integers n, m, slot and k, which the loader checks against
@@ -63,6 +64,8 @@ def rat_from_str(text: str) -> Fraction:
         raise ValueError(f"malformed rational {text!r}")
     sign, digits, den_digits = match.groups()
     num = -_digits_to_int(digits) if sign else _digits_to_int(digits)
+    if den_digits == "1" or (sign and digits == "0"):
+        raise ValueError(f"non-canonical rational {text!r}")
     den = _digits_to_int(den_digits or "1")
     if gcd(abs(num), den) != 1:
         raise ValueError(f"rational {text!r} is not in lowest terms")

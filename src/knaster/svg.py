@@ -2,9 +2,9 @@
 
 Each map gets its own unit-square panel (laid out left to right), one
 polyline per map with exactly one point per breakpoint. Rationals are kept
-exact until the final coordinate emission, where they are quantized to a
-fixed number of decimals; identical inputs therefore produce byte-identical
-output.
+exact until the final coordinate emission, where they are quantized to two
+decimals by integer rounding (ties to even); identical inputs therefore
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -41,22 +41,28 @@ class PlotSpec:
             raise ValueError("grid fold count must be positive")
 
 
-def _dec(value: Fraction, places: int = 2) -> str:
-    """Fixed-point decimal string, exact rounding (ties to even)."""
-    scale = 10 ** places
-    n = round(Fraction(value) * scale)
+def _dec(num: int, den: int) -> str:
+    """num/den (den > 0) as a fixed-point string with two decimals, rounding
+    ties to even, in integer arithmetic."""
+    n, r = divmod(100 * num, den)
+    if 2 * r > den or (2 * r == den and n % 2):
+        n += 1
     sign = "-" if n < 0 else ""
     n = abs(n)
-    return f"{sign}{n // scale}.{n % scale:0{places}d}"
+    return f"{sign}{n // 100}.{n % 100:02d}"
 
 
 def render_svg(spec: PlotSpec) -> str:
     """The SVG document as a string."""
     count = len(spec.maps)
-    panel_w = Fraction(spec.width - 2 * _MARGIN - _GAP * (count - 1), count)
-    panel_h = Fraction(spec.height - 2 * _MARGIN - _LABEL_H)
-    if panel_w <= 0 or panel_h <= 0:
+    # Panel widths and left edges are kept times count, so they stay integers.
+    wc = spec.width - 2 * _MARGIN - _GAP * (count - 1)
+    panel_h = spec.height - 2 * _MARGIN - _LABEL_H
+    if wc <= 0 or panel_h <= 0:
         raise ValueError("plot dimensions too small for the panel layout")
+
+    def py(y: Fraction) -> str:
+        return _dec((_MARGIN + panel_h) * y.denominator - panel_h * y.numerator, y.denominator)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -65,18 +71,14 @@ def render_svg(spec: PlotSpec) -> str:
         f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="white"/>',
     ]
     for idx, (f, label) in enumerate(spec.maps):
-        x0 = _MARGIN + idx * (panel_w + _GAP)
-        y0 = Fraction(_MARGIN)
+        left = _MARGIN * count + idx * (wc + _GAP * count)
 
         def px(x: Fraction) -> str:
-            return _dec(x0 + panel_w * x)
-
-        def py(y: Fraction) -> str:
-            return _dec(y0 + panel_h * (1 - y))
+            return _dec(left * x.denominator + wc * x.numerator, count * x.denominator)
 
         lines.append(
-            f'<rect x="{_dec(x0)}" y="{_dec(y0)}" width="{_dec(panel_w)}" '
-            f'height="{_dec(panel_h)}" fill="none" stroke="#444444" stroke-width="1"/>')
+            f'<rect x="{_dec(left, count)}" y="{_dec(_MARGIN, 1)}" width="{_dec(wc, count)}" '
+            f'height="{_dec(panel_h, 1)}" fill="none" stroke="#444444" stroke-width="1"/>')
         if spec.grid is not None:
             for k in range(1, spec.grid):
                 gx = px(Fraction(k, spec.grid))
@@ -87,8 +89,8 @@ def render_svg(spec: PlotSpec) -> str:
         points = " ".join(f"{px(x)},{py(y)}" for x, y in f.points)
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        label_x = _dec(x0 + panel_w / 2)
-        label_y = _dec(y0 + panel_h + Fraction(_LABEL_H) - 4)
+        label_x = _dec(2 * left + wc, 2 * count)
+        label_y = _dec(_MARGIN + panel_h + _LABEL_H - 4, 1)
         lines.append(
             f'<text x="{label_x}" y="{label_y}" font-family="monospace" font-size="12" '
             f'text-anchor="middle">{escape(label)}</text>')

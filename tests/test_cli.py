@@ -68,6 +68,10 @@ def test_tower_build_eval_materialize(tmp_path):
     # level beyond depth is a usage error
     assert run("tower", "eval", "--tower", str(tower_path),
                "--level", "9", "--x", "0") == 2
+    # so is a non-canonical rational
+    for x in ("1/1", "-0"):
+        assert run("tower", "eval", "--tower", str(tower_path),
+                   "--level", "1", "--x", x) == 2
 
 
 def test_tower_eval_output(tmp_path, capsys):

@@ -1,0 +1,159 @@
+"""Differential tests: the integer-triple PLMap core against the Fraction
+reference kept in `ref_plmap.py`.
+
+Coordinates draw their denominators from many distinct primes (and a few
+small composites), values repeat to make constant runs, extra points are
+inserted on segments so the collinear merge has work to do, and probes
+sit exactly at breakpoints, 0 and 1 as well as between them.
+"""
+
+import time
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ref_plmap as ref
+from knaster import (
+    PLMap,
+    compose,
+    identity,
+    lap,
+    leftmost_preimage,
+    range_on,
+    rightmost_preimage,
+    tent,
+)
+
+F = Fraction
+
+
+def _primes(lo, hi):
+    return [p for p in range(lo, hi) if p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1))]
+
+
+DENOMINATORS = [1, 2, 3, 4, 6, 8, 12, 30] + _primes(2, 120) + _primes(9900, 10100)
+
+
+@st.composite
+def unit_rationals(draw):
+    den = draw(st.sampled_from(DENOMINATORS))
+    return F(draw(st.integers(min_value=0, max_value=den)), den)
+
+
+@st.composite
+def raw_points(draw):
+    """A valid breakpoint list, possibly with collinear runs left in."""
+    xs = sorted(draw(st.sets(unit_rationals().filter(lambda x: 0 < x < 1), max_size=7)))
+    xs = [F(0)] + xs + [F(1)]
+    ys = [draw(unit_rationals())]
+    for _ in xs[1:]:
+        kind = draw(st.sampled_from(["fresh", "repeat", "zero", "one"]))
+        ys.append({"fresh": draw(unit_rationals()), "repeat": ys[-1],
+                   "zero": F(0), "one": F(1)}[kind])
+    pts = list(zip(xs, ys))
+    for i in sorted(draw(st.sets(st.integers(0, len(pts) - 2), max_size=3)), reverse=True):
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        lam = draw(st.sampled_from([F(1, 2), F(1, 3), F(7, 9973)]))
+        pts.insert(i + 1, (x0 + lam * (x1 - x0), y0 + lam * (y1 - y0)))
+    return pts
+
+
+def both(pts):
+    return PLMap(pts), ref.PLMap(pts)
+
+
+def probes(f_ref, extra):
+    """0, 1, every breakpoint, and the drawn extra points."""
+    return sorted({F(0), F(1), *f_ref.xs, *extra})
+
+
+def values(f_ref, extra):
+    return sorted({F(0), F(1), *(y for _, y in f_ref.points), *extra})
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_points(), raw_points(), st.lists(unit_rationals(), max_size=4))
+def test_matches_reference(pf, pg, extra):
+    f, fr = both(pf)
+    g, gr = both(pg)
+    assert f.points == fr.points
+    assert f.xs == fr.xs
+    assert repr(f) == repr(fr)
+    assert lap(f) == ref.lap(fr)
+    xs = probes(fr, extra)
+    for x in xs:
+        assert f(x) == fr._eval_unchecked(x)
+    for a in xs:
+        for b in xs:
+            if a <= b:
+                assert range_on(f, a, b) == ref.range_on(fr, a, b)
+    for y in values(fr, extra):
+        assert leftmost_preimage(f, y) == ref.leftmost_preimage(fr, y)
+        assert rightmost_preimage(f, y) == ref.rightmost_preimage(fr, y)
+    for outer, inner, outer_r, inner_r in ((f, g, fr, gr), (g, f, gr, fr), (f, f, fr, fr)):
+        h, hr = compose(outer, inner), ref.compose(outer_r, inner_r)
+        assert h.points == hr.points
+        assert lap(h) == ref.lap(hr)
+        assert h == PLMap(hr.points) and hash(h) == hash(PLMap(hr.points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_points(), raw_points())
+def test_equality_and_hash_agree(pf, pg):
+    f, fr = both(pf)
+    g, gr = both(pg)
+    assert (f == g) == (fr == gr)
+    # the same map reached by composition and by construction
+    for h, hr in ((compose(identity(), f), ref.compose(ref.PLMap([(0, 0), (1, 1)]), fr)),
+                  (compose(f, identity()), fr),
+                  (PLMap(fr.points), fr)):
+        assert h == f and hash(h) == hash(f)
+        assert (h == g) == (hr == gr)
+        if h == g:
+            assert hash(h) == hash(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.fractions(min_value=F(-1, 3), max_value=F(4, 3), max_denominator=7),
+                          st.fractions(min_value=F(-1, 3), max_value=F(4, 3), max_denominator=7)),
+                max_size=6))
+def test_construction_errors_agree(pts):
+    def outcome(cls):
+        try:
+            return cls(pts).points
+        except ValueError as err:
+            return str(err)
+    assert outcome(PLMap) == outcome(ref.PLMap)
+
+
+def _prime_map(count, start):
+    """count breakpoints whose coordinates have distinct primes near start as
+    denominators, zig-zagging so that compose refines every segment."""
+    primes = _primes(start, start + 20 * count)
+    assert len(primes) >= 2 * count
+    pts = [(F(0), F(0))]
+    for i in range(1, count - 1):
+        px, py = primes[2 * i], primes[2 * i + 1]
+        y = F(py // 5, py) if i % 2 else F(4 * py // 5, py)
+        pts.append((F(i * px // (count - 1), px), y))
+    pts.append((F(1), F(1)))
+    return pts
+
+
+def test_compose_adversarial_denominators():
+    pts = _prime_map(200, 10_000)
+    f, fr = both(pts)
+    assert len(f.points) == 200
+    start = time.perf_counter()
+    h = compose(f, f)
+    elapsed = time.perf_counter() - start
+    assert h.points == ref.compose(fr, fr).points
+    assert elapsed < 5, f"compose took {elapsed:.2f} s"
+
+
+def test_tents_match_reference():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            want = ref.compose(ref.PLMap(tent(m).points), ref.PLMap(tent(n).points))
+            assert compose(tent(m), tent(n)).points == want.points

@@ -62,6 +62,11 @@ def test_rat_strings_past_int_str_limit():
     "03",       # leading zero
     "3/02",     # leading zero in denominator
     "0/3",      # not reduced (canonical zero is "0")
+    "0/1",      # integers carry no denominator
+    "1/1",
+    "5/1",
+    "-0",       # negative zero
+    "-0/1",
     "1.5",      # decimals are not rationals on the wire
     " 1/2",     # whitespace
     "a/b",
