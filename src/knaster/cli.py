@@ -5,7 +5,8 @@ input (bad flags, malformed files, unsatisfiable requests). Sequences are
 given as `const:2`, `list:2,3,5` or `periodic:8,16|32`; maps as `id`,
 `tent:7` or a JSON file path. All file I/O is UTF-8 JSON except plots,
 which are SVG 1.1. KNASTER_LAP_BUDGET overrides the materialization budget,
-which also caps every tent degree read from the command line.
+which also caps every tent degree read from the command line or a thread
+file and the plot grid's fold count.
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ def cmd_lift(args) -> int:
     for name, value in report.as_dict().items():
         print(f"{name}: {'ok' if value else 'FAIL'}")
     if args.out:
-        _write_text(args.out, serialize.dumps(serialize.plmap_to_obj(f1)))
-        print(f"wrote {args.out} ({len(f1.points)} breakpoints, lap {lap(f1)})")
+        obj = serialize.plmap_to_obj(f1)
+        _write_text(args.out, serialize.dumps(obj))
+        print(f"wrote {args.out} ({len(obj['breakpoints'])} breakpoints, lap {lap(f1)})")
     return EXIT_OK if report.all_ok else EXIT_FAIL
 
 
@@ -143,8 +145,9 @@ def cmd_tower_eval(args) -> int:
 def cmd_tower_materialize(args) -> int:
     tower = serialize.tower_from_obj(_load_json(args.tower))
     f = materialize_level(tower, args.level, _lap_budget())
-    _write_text(args.out, serialize.dumps(serialize.plmap_to_obj(f)))
-    print(f"wrote {args.out} ({len(f.points)} breakpoints, lap {lap(f)})")
+    obj = serialize.plmap_to_obj(f)
+    _write_text(args.out, serialize.dumps(obj))
+    print(f"wrote {args.out} ({len(obj['breakpoints'])} breakpoints, lap {lap(f)})")
     return EXIT_OK
 
 
@@ -223,6 +226,7 @@ def cmd_thread_validate(args) -> int:
 
 def cmd_thread_extend(args) -> int:
     thread = serialize.thread_from_obj(_load_json(args.thread))
+    _tent_degree(thread.seq.nth(len(thread.coords)), "next bonding term")
     children = extend(thread)
     for child in children:
         print(", ".join(serialize.rat_to_str(x) for x in child.coords))
@@ -260,6 +264,8 @@ def cmd_plot(args) -> int:
     labels = args.labels.split(",") if args.labels else specs
     if len(labels) != len(maps):
         raise ValueError("number of labels must match number of maps")
+    if args.grid is not None:
+        _tent_degree(args.grid, "--grid")
     plot = PlotSpec(maps=tuple(zip(maps, labels)), width=args.width,
                     height=args.height, grid=args.grid)
     _write_text(args.out, render_svg(plot))

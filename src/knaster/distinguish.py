@@ -73,7 +73,8 @@ def pick_q(t: RatLike, j: int, grouped: GroupedSeq) -> tuple[int, Fraction]:
         raise ValueError(
             f"no even fold point 2q/{n} inside [{slot + 1}/{j}, 1] (slot = j-1, odd n_j)")
     if witness > Fraction(slot + 2, j):
-        raise AssertionError
+        raise AssertionError(
+            f"witness {witness} lies past {slot + 2}/{j}: n_j = {n} breaks n_j > (m_j+2)j")
     return q, witness
 
 

@@ -13,6 +13,7 @@ this arithmetic verbatim; only the interval-level action differs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -92,7 +93,7 @@ def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
                 seen.add((i0, jseq[0]))
                 out.append(spec)
     if len({(s.i0, s.jseq[0]) for s in out}) != len(out):
-        raise AssertionError
+        raise AssertionError("two emitted specs share (i0, j_0): one map listed twice")
     return out
 
 
@@ -109,16 +110,18 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
+def _tail_product(seq: SeqSpec) -> int:
+    """The product of one period of the tail (constant/periodic only)."""
+    if seq.kind == "constant":
+        return seq.n
+    if seq.kind == "periodic":
+        return math.prod(seq.period)
+    raise ValueError("a finite sequence has no infinite tail")
+
+
 def tail_prime_support(seq: SeqSpec) -> frozenset[int]:
     """Primes dividing infinitely many terms (constant/periodic only)."""
-    if seq.kind == "constant":
-        return frozenset(_prime_factors(seq.n))
-    if seq.kind == "periodic":
-        base = 1
-        for v in seq.period:
-            base *= v
-        return frozenset(_prime_factors(base))
-    raise ValueError("a finite sequence has no infinite tail")
+    return frozenset(_prime_factors(_tail_product(seq)))
 
 
 def prime_obstruction(source: SeqSpec, target: SeqSpec) -> bool:
@@ -126,6 +129,11 @@ def prime_obstruction(source: SeqSpec, target: SeqSpec) -> bool:
 
     True when the target tail keeps demanding a prime the source tail cannot
     supply; then no spec stays compatible at arbitrarily large depth, whatever
-    i0 and jseq are. False means this test proves nothing.
+    i0 and jseq are. False means this test proves nothing. Decided by gcd,
+    not by factoring: strip from the target's tail product every factor it
+    shares with the source's, and see whether anything is left.
     """
-    return not tail_prime_support(target) <= tail_prime_support(source)
+    demand, supply = _tail_product(target), _tail_product(source)
+    while (g := math.gcd(demand, supply)) > 1:
+        demand //= g
+    return demand > 1

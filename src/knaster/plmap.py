@@ -12,8 +12,9 @@ through two points and the point where two lines meet are both one
 integer cross product: evaluation meets a segment with a vertical line,
 composition and the preimage scans meet it with a horizontal one, and a
 breakpoint is merged away when it lies on the line through its
-neighbours. Fractions appear only at the API boundary (`points`, `xs`,
-`__call__`, `range_on`, the preimages).
+neighbours. `compose` and the lift step `tent_lift` map triples to triples;
+Fractions appear only at the API boundary (`points`, `xs`, `__call__`,
+`range_on`, the preimages).
 """
 
 from __future__ import annotations
@@ -200,8 +201,25 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
             pts.append(_reduce((x * w, v * wx, wx * w)))
     _, v, w = outer._at(it[-1][1], it[-1][2])
     pts.append(_reduce((w, v, w)))
+    return _from_triples(pts)
+
+
+def tent_lift(g: PLMap, m: int, switches: Iterable[Fraction]) -> PLMap:
+    """x -> tent_branch(m, c, g(x)), c the number of switches at or left of x;
+    the switches increase, and g is 0 or 1 at each (see `construct_lift`)."""
+    sw = [(s.numerator, s.denominator) for s in switches]
+    pts, c = [], 0
+    for x, y, w in g._t:
+        while c < len(sw) and sw[c][0] * w <= x * sw[c][1]:
+            c += 1
+        pts.append(_reduce((m * x, (c + 1) * w - y if c % 2 else c * w + y, m * w)))
+    return _from_triples(pts)
+
+
+def _from_triples(t) -> PLMap:
+    """The PLMap on valid reduced triples t, merged but not re-checked."""
     f = object.__new__(PLMap)
-    f._t = _merge(pts)
+    f._t = _merge(t)
     return f
 
 
@@ -210,9 +228,7 @@ def lap(f: PLMap) -> int:
     t = f._t
     rises = (y1 * w0 - y0 * w1 for (_, y0, w0), (_, y1, w1) in zip(t, t[1:]))
     signs = [r > 0 for r in rises if r]
-    if not signs:
-        return 1
-    return 1 + sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+    return 1 + sum(s0 != s1 for s0, s1 in zip(signs, signs[1:]))
 
 
 def range_on(f: PLMap, a: RatLike, b: RatLike) -> tuple[Fraction, Fraction]:

@@ -20,7 +20,7 @@ instead of one piece per tent fold, iteratively, at any depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
 from itertools import takewhile
 
@@ -35,6 +35,7 @@ from .plmap import (
     range_on,
     tent,
     tent_branch,
+    tent_lift,
     tent_preimages,
     wave_eval,
 )
@@ -101,28 +102,19 @@ def construct_lift(spec: LiftSpec) -> PLMap:
     """The lift f1 with tent(m)∘f1 = f0∘tent(n), sweeping inside [i/q, (i+1)/q].
 
     Deterministic choices: a and b are the leftmost preimages of 0 and 1
-    under f0, and k is the least nonnegative integer with k/n >= i/q. On each
-    span between consecutive fold points t_lam the lift is the lam-th inverse
-    branch of tent(m) applied to f0∘tent(n).
+    under f0, and k is the least nonnegative integer with k/n >= i/q. Between
+    fold points t_lam the lift is the lam-th inverse branch of tent(m) applied
+    to g = f0∘tent(n). The t_lam need no breakpoints of their own: g(t_lam) is
+    0 or 1, so t_lam is a breakpoint of g, given the value lam/m, or inside a
+    segment where g is constant 0 or 1, on which branches lam-1 and lam agree.
     """
     spec.validate()
-    f0 = spec.f0
-    a = leftmost_preimage(f0, ZERO)
-    b = leftmost_preimage(f0, ONE)
+    a, b = leftmost_preimage(spec.f0, ZERO), leftmost_preimage(spec.f0, ONE)
     if a is None or b is None:
         raise ValueError("f0 must map [0, 1] onto itself")
     k = -(-spec.n * spec.i // spec.q)
-    bounds = _fold_points(spec.n, k, spec.m, a, b)[1:spec.m]
-    # bi counts the switch points at or left of x: the branch index at x
-    pts, bi = [], 0
-    for x, y in compose(f0, tent(spec.n)).points:
-        while bi < len(bounds) and bounds[bi] < x:
-            bi += 1
-            pts.append((bounds[bi - 1], Fraction(bi, spec.m)))  # f1(t_lam) = lam/m
-        if bi < len(bounds) and bounds[bi] == x:
-            bi += 1
-        pts.append((x, tent_branch(spec.m, bi, y)))
-    return PLMap(pts)
+    folds = _fold_points(spec.n, k, spec.m, a, b)
+    return tent_lift(compose(spec.f0, tent(spec.n)), spec.m, folds[1:spec.m])
 
 
 @dataclass(frozen=True)
@@ -137,18 +129,10 @@ class ConditionReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(v is not False for v in (
-            self.fixes_origin, self.commutes, self.low_confined,
-            self.sweeps_all, self.high_confined))
+        return all(v is not False for v in astuple(self))
 
     def as_dict(self) -> dict[str, bool | None]:
-        return {
-            "fixes_origin": self.fixes_origin,
-            "commutes": self.commutes,
-            "low_confined": self.low_confined,
-            "sweeps_all": self.sweeps_all,
-            "high_confined": self.high_confined,
-        }
+        return asdict(self)
 
 
 def _report(fixes_origin: bool, commutes: bool | None, rng, m: int, q: int,

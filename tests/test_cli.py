@@ -1,10 +1,11 @@
 import json
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from knaster.cli import _parser, build_parser, main
 from knaster.serialize import dumps, plmap_from_obj, rat_from_str, rat_to_str, thread_to_obj
-from knaster import SeqSpec, Thread, build_tower, compose, eval_level, tent
+from knaster import PLMap, SeqSpec, Thread, build_tower, compose, eval_level, tent
 
 F = Fraction
 
@@ -128,6 +129,41 @@ def test_tent_degrees_capped_by_lap_budget(tmp_path, monkeypatch, capsys):
     assert run("semigroup", "--maxn", "4") == 0
 
 
+def test_plot_grid_and_thread_fan_capped_by_lap_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("KNASTER_LAP_BUDGET", "10")
+    svg = tmp_path / "p.svg"
+    assert run("plot", "--maps", "id", "--grid", "11", "--out", str(svg)) == 2
+    assert not svg.exists()
+    assert run("plot", "--maps", "id", "--grid", "10", "--out", str(svg)) == 0
+    for n, code in ((11, 2), (10, 0)):
+        th_path = tmp_path / f"thread{n}.json"
+        th_path.write_text(dumps(thread_to_obj(Thread(SeqSpec.constant(n), (F(0),)))))
+        assert run("thread", "extend", "--thread", str(th_path)) == code
+    err = capsys.readouterr().err
+    assert "--grid 11 exceeds the lap budget 10" in err
+    assert "next bonding term 11 exceeds the lap budget 10" in err
+
+
+def test_breakpoint_counts_build_points_once(tmp_path, monkeypatch, capsys):
+    # the count comes from the written object, so each map's Fraction
+    # breakpoints are built once, for the file
+    tower_path = tmp_path / "tower.json"
+    assert run("tower", "build", "--N", "const:2", "--M", "const:2",
+               "--t", "1/3", "--depth", "2", "--out", str(tower_path)) == 0
+    built = []
+    points = PLMap.points
+    monkeypatch.setattr(PLMap, "points", property(lambda f: built.append(f) or points.fget(f)))
+    assert run("lift", "--m", "3", "--n", "7", "--q", "1", "--i", "0",
+               "--out", str(tmp_path / "f1.json")) == 0
+    assert run("tower", "materialize", "--tower", str(tower_path), "--level", "2",
+               "--out", str(tmp_path / "f2.json")) == 0
+    assert len(built) == 2
+    out = capsys.readouterr().out
+    assert "(6 breakpoints, lap 5)" in out
+    f2 = plmap_from_obj(json.loads((tmp_path / "f2.json").read_text()))
+    assert f"({len(f2.points)} breakpoints, lap " in out
+
+
 def test_materialize_budget_env(tmp_path, monkeypatch):
     tower_path = tmp_path / "tower.json"
     run("tower", "build", "--N", "const:2", "--M", "const:2",
@@ -195,6 +231,17 @@ def test_natmap_check(capsys):
     assert run("natmap", "check", "--N", "const:6", "--M", "const:2",
                "--i0", "1", "--jseq", "0,1,2,3") == 0
     assert "advisory" not in capsys.readouterr().out
+
+
+def test_natmap_check_huge_prime_term(capsys):
+    # 10^18 + 3 is prime: deciding the advisory by factoring took minutes
+    start = time.perf_counter()
+    assert run("natmap", "check", "--N", "const:1000000000000000003", "--M", "const:2",
+               "--i0", "1", "--jseq", "0,1") == 1
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert "advisory: the target tail needs a prime" in out
+    assert "fails at k=1" in out
 
 
 def test_natmap_enum(tmp_path, capsys):

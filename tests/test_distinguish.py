@@ -94,6 +94,16 @@ def test_pick_q_odd_n_top_slot_fails():
         pick_q(F(1), 1, grouped)
 
 
+def test_pick_q_invariant_failure_has_a_message():
+    # a bonding view below the grouped bound (n_3 = 2, not > (m_3+2)*3) puts
+    # the witness 2q/n past the window; the failure must say which invariant broke
+    class Ungrouped:
+        def nth(self, j):
+            return 2
+    with pytest.raises(AssertionError, match=r"witness 1 lies past 2/3: n_j = 2 breaks"):
+        pick_q(F(0), 3, Ungrouped())
+
+
 def test_certificate_desk_frozen():
     cert = make_certificate(c2, c2, F(0), F(1, 2), 4)
     assert cert.j == 7

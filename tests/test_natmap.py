@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knaster import (
     NaturalMapSpec,
@@ -12,6 +14,7 @@ from knaster import (
     is_compatible,
     prime_obstruction,
 )
+from knaster import natmap
 from knaster.natmap import tail_prime_support
 
 F = Fraction
@@ -148,3 +151,32 @@ def test_prime_obstruction():
     assert tail_prime_support(c6) == frozenset({2, 3})
     with pytest.raises(ValueError):
         tail_prime_support(SeqSpec.from_list([2, 3]))
+
+
+def _tail_seqs():
+    terms = st.lists(st.integers(2, 60), min_size=1, max_size=3)
+    return st.one_of(st.integers(2, 360).map(SeqSpec.constant),
+                     st.builds(SeqSpec.periodic, st.lists(st.integers(2, 60), max_size=2), terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tail_seqs(), _tail_seqs())
+def test_prime_obstruction_matches_factoring(source, target):
+    # the definition: some prime of the target's tail is missing from the source's
+    want = not tail_prime_support(target) <= tail_prime_support(source)
+    assert prime_obstruction(source, target) is want
+
+
+def test_prime_obstruction_large_prime_terms():
+    p = 1_000_000_000_000_000_003  # trial division would run to 10^9
+    assert prime_obstruction(SeqSpec.constant(p), c2) is True
+    assert prime_obstruction(c2, SeqSpec.constant(p)) is True
+    assert prime_obstruction(SeqSpec.constant(2 * p), SeqSpec.periodic([], [p, 4])) is False
+
+
+def test_invariant_failure_has_a_message(monkeypatch):
+    # a spec constructor that loses i0 makes two emitted specs share (i0, j_0)
+    monkeypatch.setattr(natmap, "NaturalMapSpec",
+                        lambda i0, jseq, s, t: NaturalMapSpec(1, jseq, s, t))
+    with pytest.raises(AssertionError, match=r"share \(i0, j_0\)"):
+        enumerate_natural_maps(c2, c2, 2, 0, 2, 1)
