@@ -60,8 +60,7 @@ def parse_map(text: str) -> PLMap:
         return tent(1)
     if text.startswith("tent:"):
         return tent(_tent_degree(int(text[5:]), "tent degree"))
-    with open(text, encoding="utf-8") as fh:
-        return serialize.plmap_from_obj(json.load(fh))
+    return serialize.plmap_from_obj(_load_json(text))
 
 
 def _load_json(path: str) -> dict:
@@ -69,9 +68,10 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _write_text(path: str, text: str) -> None:
+def _save(path: str, text: str, note: str = "") -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    print(f"wrote {path}{note}")
 
 
 def _lap_budget() -> int:
@@ -121,17 +121,16 @@ def cmd_lift(args) -> int:
         print(f"{name}: {'ok' if value else 'FAIL'}")
     if args.out:
         obj = serialize.plmap_to_obj(f1)
-        _write_text(args.out, serialize.dumps(obj))
-        print(f"wrote {args.out} ({len(obj['breakpoints'])} breakpoints, lap {lap(f1)})")
+        _save(args.out, serialize.dumps(obj),
+              f" ({len(obj['breakpoints'])} breakpoints, lap {lap(f1)})")
     return EXIT_OK if report.all_ok else EXIT_FAIL
 
 
 def cmd_tower_build(args) -> int:
     tower = build_tower(parse_seq(args.N), parse_seq(args.M), args.t, args.depth)
-    _write_text(args.out, serialize.dumps(serialize.tower_to_obj(tower)))
     for lvl in tower.levels:
         print(f"level {lvl.j}: n={lvl.n} m={lvl.m} slot={lvl.slot} k={lvl.k}")
-    print(f"wrote {args.out}")
+    _save(args.out, serialize.dumps(serialize.tower_to_obj(tower)))
     return EXIT_OK
 
 
@@ -146,8 +145,8 @@ def cmd_tower_materialize(args) -> int:
     tower = serialize.tower_from_obj(_load_json(args.tower))
     f = materialize_level(tower, args.level, _lap_budget())
     obj = serialize.plmap_to_obj(f)
-    _write_text(args.out, serialize.dumps(obj))
-    print(f"wrote {args.out} ({len(obj['breakpoints'])} breakpoints, lap {lap(f)})")
+    _save(args.out, serialize.dumps(obj),
+          f" ({len(obj['breakpoints'])} breakpoints, lap {lap(f)})")
     return EXIT_OK
 
 
@@ -155,11 +154,10 @@ def cmd_distinguish(args) -> int:
     cert = make_certificate(parse_seq(args.N), parse_seq(args.M),
                             serialize.rat_from_str(args.t), serialize.rat_from_str(args.s),
                             args.ell, level=args.level)
-    _write_text(args.out, serialize.dumps(serialize.certificate_to_obj(cert)))
     print(f"level j={cert.j}, q={cert.q}, witness={serialize.rat_to_str(cert.witness)}")
     print(f"vt={serialize.rat_to_str(cert.vt)}, vs={serialize.rat_to_str(cert.vs)}, "
           f"p={cert.p}, r={cert.r}")
-    print(f"wrote {args.out}")
+    _save(args.out, serialize.dumps(serialize.certificate_to_obj(cert)))
     return EXIT_OK
 
 
@@ -197,8 +195,7 @@ def cmd_natmap_enum(args) -> int:
         print(f"i0={spec.i0} jseq={','.join(str(j) for j in spec.jseq)}")
     print(f"{len(specs)} compatible map(s)")
     if args.out:
-        _write_text(args.out, serialize.dumps([serialize.natmap_to_obj(s) for s in specs]))
-        print(f"wrote {args.out}")
+        _save(args.out, serialize.dumps([serialize.natmap_to_obj(s) for s in specs]))
     return EXIT_OK
 
 
@@ -209,8 +206,7 @@ def cmd_lifts(args) -> int:
     bad = sum(1 for f in found if compose(tent(args.m), f) != h)
     print(f"{len(found)} lift(s), {bad} failed recomposition")
     if args.out:
-        _write_text(args.out, serialize.dumps([serialize.plmap_to_obj(f) for f in found]))
-        print(f"wrote {args.out}")
+        _save(args.out, serialize.dumps([serialize.plmap_to_obj(f) for f in found]))
     return EXIT_FAIL if bad else EXIT_OK
 
 
@@ -231,8 +227,7 @@ def cmd_thread_extend(args) -> int:
     for child in children:
         print(", ".join(serialize.rat_to_str(x) for x in child.coords))
     if args.out:
-        _write_text(args.out, serialize.dumps([serialize.thread_to_obj(c) for c in children]))
-        print(f"wrote {args.out}")
+        _save(args.out, serialize.dumps([serialize.thread_to_obj(c) for c in children]))
     return EXIT_OK
 
 
@@ -249,8 +244,7 @@ def cmd_thread_map(args) -> int:
         image = apply_tower(tower, thread)
     print(", ".join(serialize.rat_to_str(x) for x in image.coords))
     if args.out:
-        _write_text(args.out, serialize.dumps(serialize.thread_to_obj(image)))
-        print(f"wrote {args.out}")
+        _save(args.out, serialize.dumps(serialize.thread_to_obj(image)))
     bad = validate(image)
     if bad is not None:
         print(f"image thread INCONSISTENT at i={bad}")
@@ -268,8 +262,7 @@ def cmd_plot(args) -> int:
         _tent_degree(args.grid, "--grid")
     plot = PlotSpec(maps=tuple(zip(maps, labels)), width=args.width,
                     height=args.height, grid=args.grid)
-    _write_text(args.out, render_svg(plot))
-    print(f"wrote {args.out}")
+    _save(args.out, render_svg(plot))
     return EXIT_OK
 
 

@@ -83,8 +83,9 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
     """Build both towers and extract the separation witness data.
 
     The unordered pair {t, s} is normalized to t < s. The level defaults to
-    pick_level's least admissible j; a caller-supplied level must satisfy the
-    same two inequalities. The two value facts (vs = 0 exactly, vt in the top
+    pick_level's least admissible j; both of its inequalities only get easier
+    as j grows, so a caller-supplied level is admissible exactly when it is at
+    least that j. The two value facts (vs = 0 exactly, vt in the top
     band) are guaranteed, so a failure is a bug here: it raises AssertionError,
     also under python -O.
     """
@@ -97,12 +98,11 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
     if level is not None:
         if level < 1:
             raise ValueError("level must be positive")
-        if not (target.prefix_product(level - 1) > ell and Fraction(3, level) < s - t):
+        if level < j:
             raise ValueError(f"level {level} violates the certificate inequalities")
         j = level
-    grouped = regroup(raw_source, target, j)
-    q, witness = pick_q(t, j, grouped)
     tower_t = build_tower(raw_source, target, t, j)
+    q, witness = pick_q(t, j, tower_t.grouped)
     tower_s = build_tower(raw_source, target, s, j)
     vt = eval_level(tower_t, j, witness)
     vs = eval_level(tower_s, j, witness)

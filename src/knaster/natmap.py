@@ -97,19 +97,6 @@ def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
     return out
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _tail_product(seq: SeqSpec) -> int:
     """The product of one period of the tail (constant/periodic only)."""
     if seq.kind == "constant":
@@ -117,11 +104,6 @@ def _tail_product(seq: SeqSpec) -> int:
     if seq.kind == "periodic":
         return math.prod(seq.period)
     raise ValueError("a finite sequence has no infinite tail")
-
-
-def tail_prime_support(seq: SeqSpec) -> frozenset[int]:
-    """Primes dividing infinitely many terms (constant/periodic only)."""
-    return frozenset(_prime_factors(_tail_product(seq)))
 
 
 def prime_obstruction(source: SeqSpec, target: SeqSpec) -> bool:

@@ -29,6 +29,7 @@ RatLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+TENT_CACHE_SIZE = 256  # above every workload's set of tent degrees (at most ~150)
 
 
 def as_rat(x: RatLike) -> Fraction:
@@ -169,7 +170,7 @@ def identity() -> PLMap:
     return PLMap([(ZERO, ZERO), (ONE, ONE)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TENT_CACHE_SIZE)
 def tent(n: int) -> PLMap:
     """The n-fold stretch-and-fold map t -> wave_eval(n*t)."""
     if not isinstance(n, int) or n < 1:

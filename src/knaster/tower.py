@@ -13,8 +13,8 @@ two tracked preimages, its fold points follow by leg arithmetic, and
 evaluation descends the levels.
 Exact range queries descend too: every level is onto, so a stretch of the
 domain holding a whole tent leg of level j has the range of f_{j-1} over
-[0, 1], and a query costs O(m_j) work per distinct subinterval at each level
-instead of one piece per tent fold, iteratively, at any depth.
+[0, 1], and only an interval's outer branches hold its extremes, so a query
+asks the level below for at most two subintervals per interval, at any depth.
 """
 
 from __future__ import annotations
@@ -295,11 +295,11 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     the piece. A piece holding a whole tent leg has image [0, 1] (the memoized
     query range(j-1, 0, 1), which is (0, 1) because every level is onto); any
     other piece meets at most one fold, and its image is a single interval.
-    So a query costs at most m_j subqueries per interval at level j, and the
-    levels are walked down then up in a loop, with the subqueries of each
-    level deduplicated: the work grows linearly in j and any depth works.
-    Results are memoized on the tower, in a memo cleared once it holds more
-    than RANGE_MEMO_LIMIT entries.
+    Branch lam maps into [lam/m_j, (lam+1)/m_j], so the first piece holds the
+    minimum and the last the maximum: at most two subqueries per interval at
+    level j. The levels are walked down then up in a loop, deduplicating each
+    level's subqueries, so the work grows linearly in j and any depth works.
+    Results are memoized on the tower (cleared past RANGE_MEMO_LIMIT entries).
     """
     lo, hi = as_rat(lo), as_rat(hi)
     if not ZERO <= lo <= hi <= ONE:
@@ -354,16 +354,16 @@ def _level_range(tower: Tower, j: int, lo: Fraction, hi: Fraction) -> tuple[Frac
         if not plan:
             break
         plans.append((level, plan))
-        need = {sub for pieces in plan.values() for _, sub in pieces}
+        need = {pieces[e][1] for pieces in plan.values() for e in (0, -1)}
     # Walk up: level 0 is the identity, every level above reads the one below.
     for level, plan in reversed(plans):
         m = tower.levels[level - 1].m
         for iv, pieces in plan.items():
-            # each branch is monotone: its extremes sit at the sub-range's ends
-            ends = [tent_branch(m, lam, r)
-                    for lam, sub in pieces
-                    for r in (sub if level == 1 else memo[(level - 1, *sub)])]
-            memo[(level, *iv)] = (min(ends), max(ends))
+            # branch lam rises (lam even) or falls into [lam/m, (lam+1)/m]
+            (lam0, r0), (lam1, r1) = ((lam, sub if level == 1 else memo[(level - 1, *sub)])
+                                      for lam, sub in (pieces[0], pieces[-1]))
+            memo[(level, *iv)] = (tent_branch(m, lam0, r0[lam0 % 2]),
+                                  tent_branch(m, lam1, r1[1 - lam1 % 2]))
     return memo[(j, lo, hi)]
 
 

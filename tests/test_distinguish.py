@@ -181,6 +181,21 @@ def test_requested_level_override():
         make_certificate(c2, c2, F(0), F(1, 2), 4, level=0)
 
 
+def test_requested_level_matches_the_inequalities():
+    # make_certificate compares a caller's level with pick_level's; the
+    # level passes exactly when it satisfies both inequalities itself
+    for target in (c2, SeqSpec.constant(3), SeqSpec.periodic([2], [3, 5])):
+        for t, s, ell in ((F(0), F(1, 2), 4), (F(1, 3), F(1), 63)):
+            for level in range(1, 14):
+                ok = target.prefix_product(level - 1) > ell and F(3, level) < s - t
+                try:
+                    cert = make_certificate(c2, target, t, s, ell, level=level)
+                except ValueError as exc:
+                    assert not ok and "violates" in str(exc), (target, t, level, exc)
+                else:
+                    assert ok and cert.j == level
+
+
 def test_certificates_over_mixed_sequences():
     raw = SeqSpec.periodic([3], [2, 5])
     target = SeqSpec.periodic([2], [3])

@@ -15,7 +15,7 @@ from knaster import (
     prime_obstruction,
 )
 from knaster import natmap
-from knaster.natmap import tail_prime_support
+from ref_natmap import tail_prime_support
 
 F = Fraction
 c2, c3, c6 = SeqSpec.constant(2), SeqSpec.constant(3), SeqSpec.constant(6)

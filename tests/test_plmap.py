@@ -18,6 +18,7 @@ from knaster import (
     tent_preimages,
     wave_eval,
 )
+from knaster import plmap
 from knaster.plmap import tent_branch
 
 F = Fraction
@@ -75,6 +76,15 @@ def test_tent_seven():
 def test_tent_rejects_zero():
     with pytest.raises(ValueError):
         tent(0)
+
+
+def test_tent_cache_is_bounded():
+    # tent(k) holds k + 1 breakpoints, so the cache must not keep every
+    # degree a long-running process ever asked for
+    for k in range(1, 601):
+        tent(k)
+    assert tent.cache_info().currsize <= plmap.TENT_CACHE_SIZE
+    assert tent(7) == PLMap([(F(k, 7), k % 2) for k in range(8)])
 
 
 def test_tent_matches_wave():

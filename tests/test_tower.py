@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knaster
+import ref_range
 from knaster import (
     LapBudgetError,
     LiftSpec,
@@ -280,6 +281,33 @@ def test_level_range_differential(pair, t, j, data):
     b = data.draw(st.one_of(st.just(a), point))  # lo == hi included
     a, b = min(a, b), max(a, b)
     assert level_range(tower, j, a, b) == range_on(maps[j], a, b)
+
+
+@lru_cache(maxsize=None)
+def deep_tower(target, t):
+    """A depth-60 tower; its range memo is shared across examples on purpose."""
+    return build_tower(c2, parse_seq(target), t, 60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("const:2", "const:3", "const:5")),
+       st.fractions(min_value=0, max_value=1, max_denominator=12),
+       st.integers(min_value=1, max_value=60),
+       st.data())
+def test_level_range_deep_differential(target, t, j, data):
+    # the outer-branch walk-up against the all-branch one, far past the
+    # levels that can be materialized
+    tower = deep_tower(target, t)
+    lvl = tower.level(j)
+    b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
+    special = [F(0), F(1), F(lvl.slot, j), F(lvl.slot + 1, j),
+               *_fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)]
+    point = st.one_of(st.sampled_from(special),
+                      st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6))
+    a = data.draw(point)
+    b = data.draw(st.one_of(st.just(a), point))
+    a, b = min(a, b), max(a, b)
+    assert level_range(tower, j, a, b) == ref_range.level_range(tower, j, a, b)
 
 
 @settings(max_examples=60, deadline=None)
