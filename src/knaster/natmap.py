@@ -81,17 +81,13 @@ def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
     if min(i0max, j0max, jmax, depth) < 0:
         raise ValueError("bounds must be nonnegative")
     out: list[NaturalMapSpec] = []
-    seen: set[tuple[int, int]] = set()
     for i0 in range(1, i0max + 1):
-        for jseq in combinations(range(jmax + 1), depth + 1):
-            if jseq[0] > j0max:
-                continue
-            if (i0, jseq[0]) in seen:
-                continue
-            spec = NaturalMapSpec(i0, jseq, source, target)
-            if depth == 0 or first_incompatible(spec, depth) is None:
-                seen.add((i0, jseq[0]))
-                out.append(spec)
+        for j0 in range(min(j0max, jmax) + 1):
+            for rest in combinations(range(j0 + 1, jmax + 1), depth):
+                spec = NaturalMapSpec(i0, (j0, *rest), source, target)
+                if depth == 0 or first_incompatible(spec, depth) is None:
+                    out.append(spec)
+                    break
     if len({(s.i0, s.jseq[0]) for s in out}) != len(out):
         raise AssertionError("two emitted specs share (i0, j_0): one map listed twice")
     return out

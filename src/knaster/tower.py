@@ -11,10 +11,10 @@ with the two bonding sequences. Towers are never materialized eagerly: the
 lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
 two tracked preimages, its fold points follow by leg arithmetic, and
 evaluation descends the levels.
-Exact range queries descend too: every level is onto, so a stretch of the
-domain holding a whole tent leg of level j has the range of f_{j-1} over
-[0, 1], and only an interval's outer branches hold its extremes, so a query
-asks the level below for at most two subintervals per interval, at any depth.
+Exact range queries descend too: only an interval's first branch holds its
+minimum and only its last its maximum, so each extreme follows one
+subinterval per level, and stops at a stretch holding a whole tent leg,
+where the level below, being onto, takes both 0 and 1.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, astuple, dataclass
 from fractions import Fraction
-from itertools import takewhile
 
 from .plmap import (
     ONE,
@@ -42,7 +41,6 @@ from .plmap import (
 from .seqs import GroupedSeq, SeqSpec, regroup
 
 DEFAULT_LAP_BUDGET = 10 ** 6
-RANGE_MEMO_LIMIT = 1 << 14
 
 
 class LapBudgetError(ValueError):
@@ -188,8 +186,9 @@ def _branch(lvl: LevelData, b_prev: Fraction, c: int, u: Fraction) -> int:
 class Tower:
     """The family {f_j} for fixed (raw source sequence, target sequence, t).
 
-    Levels hold four integers and two rationals each. Evaluation is lazy;
-    materialization is opt-in and guarded by an explicit lap budget.
+    Levels hold four integers and two rationals each. Evaluation and range
+    queries are lazy and cache nothing; materialization is opt-in, guarded
+    by an explicit lap budget, and keeps the levels it builds.
     Construction is sequential, evaluation afterwards is pure.
     """
 
@@ -201,7 +200,6 @@ class Tower:
         self.grouped = grouped
         self.levels: tuple[LevelData, ...] = tuple(levels)
         self._materialized: dict[int, PLMap] = {}
-        self._range_memo: dict = {}
 
     @property
     def depth(self) -> int:
@@ -290,81 +288,60 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     """Exact (min, max) of f_j over [lo, hi], computed lazily.
 
     On a piece of [lo, hi] between two of level j's branch switches, f_j is
-    one monotone inverse branch of tent(m_j) applied to f_{j-1}∘tent(n_j), so
-    its range is that branch applied to f_{j-1}'s range over the tent image of
-    the piece. A piece holding a whole tent leg has image [0, 1] (the memoized
-    query range(j-1, 0, 1), which is (0, 1) because every level is onto); any
-    other piece meets at most one fold, and its image is a single interval.
-    Branch lam maps into [lam/m_j, (lam+1)/m_j], so the first piece holds the
-    minimum and the last the maximum: at most two subqueries per interval at
-    level j. The levels are walked down then up in a loop, deduplicating each
-    level's subqueries, so the work grows linearly in j and any depth works.
-    Results are memoized on the tower (cleared past RANGE_MEMO_LIMIT entries).
+    the inverse branch lam of tent(m_j) applied to f_{j-1}∘tent(n_j), and
+    that branch maps into [lam/m_j, (lam+1)/m_j]. So the minimum lies on the
+    first piece and the maximum on the last, each the branch applied to an
+    extreme of f_{j-1} over the piece's tent image: the same extreme where
+    the branch rises (lam even), the other one where it falls. Each extreme
+    is one descent through single intervals, at most j steps at any depth.
     """
     lo, hi = as_rat(lo), as_rat(hi)
     if not ZERO <= lo <= hi <= ONE:
         raise ValueError(f"bad interval [{lo}, {hi}]")
     if not 0 <= j <= tower.depth:
         raise ValueError(f"level {j} not built (depth {tower.depth})")
-    return _level_range(tower, j, lo, hi)
+    return _extreme(tower, j, lo, hi, False), _extreme(tower, j, lo, hi, True)
 
 
-def _range_pieces(lvl: LevelData, b_prev: Fraction, lo: Fraction, hi: Fraction):
-    """Split [lo, hi] at the branch switches: (leg, interval) pairs, the
-    interval being the piece's image under tent(n_j), where f_{j-1} is queried."""
-    n = lvl.n
-    first = _branch(lvl, b_prev, math.floor(n * lo), wave_eval(n * lo))
-    later = (tent_branch(n, lvl.k + lam, b_prev if lam % 2 else ZERO)
-             for lam in range(first + 1, lvl.m))
-    cuts = (lo, *takewhile(lambda t: t < hi, later), hi)
-    pieces = []
-    for lam, (p, q) in enumerate(zip(cuts, cuts[1:]), first):
-        c_lo = -(-p.numerator * n // p.denominator)
-        c_hi = q.numerator * n // q.denominator
-        if c_hi > c_lo:
-            # [c_lo/n, (c_lo+1)/n] lies inside: the image is all of [0, 1]
-            pieces.append((lam, (ZERO, ONE)))
-            continue
-        u1, u2 = wave_eval(n * p), wave_eval(n * q)
-        if u1 > u2:
-            u1, u2 = u2, u1
-        if c_hi == c_lo:
-            # one fold c_lo/n inside, where the wave turns at 0 (even) or 1 (odd)
-            if c_lo % 2 == 0:
-                u1 = ZERO
-            else:
-                u2 = ONE
-        pieces.append((lam, (u1, u2)))
-    return pieces
+def _switch(lvl: LevelData, b_prev: Fraction, lam: int) -> Fraction:
+    """Switch point t_lam of lvl: on tent leg k + lam, where tent(n) maps it
+    to 0 (lam even) or to b_prev, the level below's leftmost 1-preimage."""
+    return tent_branch(lvl.n, lvl.k + lam, b_prev if lam % 2 else ZERO)
 
 
-def _level_range(tower: Tower, j: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    if j == 0:
-        return (lo, hi)
-    memo = tower._range_memo
-    if len(memo) > RANGE_MEMO_LIMIT:
-        memo.clear()
-    # Walk down: the distinct intervals each level still needs, and their pieces.
-    plans = []
-    need = {(lo, hi)}
+def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fraction:
+    """The minimum (top false) or maximum (top true) of f_j over [lo, hi]."""
+    branches = []
     for level in range(j, 0, -1):
         lvl = tower.levels[level - 1]
         b_prev = tower.levels[level - 2].b_self if level > 1 else ONE
-        plan = {iv: _range_pieces(lvl, b_prev, *iv) for iv in need if (level, *iv) not in memo}
-        if not plan:
+        n = lvl.n
+        # cut [lo, hi] to its last piece (max) or its first piece (min)
+        x = hi if top else lo
+        lam = _branch(lvl, b_prev, math.floor(n * x), wave_eval(n * x))
+        if top and lam > 0:
+            lo = max(lo, _switch(lvl, b_prev, lam))
+        elif not top and lam + 1 < lvl.m:
+            hi = min(hi, _switch(lvl, b_prev, lam + 1))
+        branches.append((lvl.m, lam))
+        top ^= lam % 2 == 1  # a falling branch turns f_{j-1}'s max into f_j's min
+        c_lo, c_hi = math.ceil(n * lo), math.floor(n * hi)
+        if c_hi > c_lo:
+            # [c_lo/n, (c_lo+1)/n] lies inside: f_{j-1} is onto, so takes 0 and 1
+            y = ONE if top else ZERO
             break
-        plans.append((level, plan))
-        need = {pieces[e][1] for pieces in plan.values() for e in (0, -1)}
-    # Walk up: level 0 is the identity, every level above reads the one below.
-    for level, plan in reversed(plans):
-        m = tower.levels[level - 1].m
-        for iv, pieces in plan.items():
-            # branch lam rises (lam even) or falls into [lam/m, (lam+1)/m]
-            (lam0, r0), (lam1, r1) = ((lam, sub if level == 1 else memo[(level - 1, *sub)])
-                                      for lam, sub in (pieces[0], pieces[-1]))
-            memo[(level, *iv)] = (tent_branch(m, lam0, r0[lam0 % 2]),
-                                  tent_branch(m, lam1, r1[1 - lam1 % 2]))
-    return memo[(j, lo, hi)]
+        lo, hi = sorted((wave_eval(n * lo), wave_eval(n * hi)))
+        if c_hi == c_lo:
+            # one fold c_lo/n inside, where the wave turns at 0 (even) or 1 (odd)
+            if c_lo % 2 == 0:
+                lo = ZERO
+            else:
+                hi = ONE
+    else:
+        y = hi if top else lo  # level 0 is the identity
+    for m, lam in reversed(branches):
+        y = tent_branch(m, lam, y)
+    return y
 
 
 def commutes_pointwise(tower: Tower, j: int, x: RatLike) -> bool:

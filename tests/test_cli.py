@@ -253,6 +253,16 @@ def test_natmap_enum(tmp_path, capsys):
     assert len(json.loads(out.read_text())) == 1
 
 
+def test_natmap_enum_stops_at_first_compatible_pick(capsys):
+    # walking every 11-combination of 41 coordinates for the one map took minutes
+    start = time.perf_counter()
+    assert run("natmap", "enum", "--N", "const:2", "--M", "const:2",
+               "--i0max", "1", "--j0max", "0", "--jmax", "40", "--depth", "10") == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == [
+        "i0=1 jseq=" + ",".join(map(str, range(11))), "1 compatible map(s)"]
+
+
 def test_lifts_cli(tmp_path):
     out = tmp_path / "lifts.json"
     assert run("lifts", "--h", "tent:7", "--m", "3", "--cap", "3",

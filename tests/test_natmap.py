@@ -15,6 +15,7 @@ from knaster import (
     prime_obstruction,
 )
 from knaster import natmap
+import ref_natmap
 from ref_natmap import tail_prime_support
 
 F = Fraction
@@ -139,6 +140,16 @@ def test_enumerate_deterministic_and_superset():
     assert set((s.i0, s.jseq) for s in small) <= set((s.i0, s.jseq) for s in big)
     ordering = [(s.i0, s.jseq) for s in big]
     assert ordering == sorted(ordering)
+
+
+@pytest.mark.parametrize("depth", (0, 1, 3))
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((c2, c3, c6, SeqSpec.periodic([3], [2, 6]))),
+       st.sampled_from((c2, c3, c6, SeqSpec.periodic([2], [3, 2]))),
+       st.integers(0, 4), st.integers(0, 5), st.integers(0, 7))
+def test_enumerate_matches_full_walk(depth, source, target, i0max, j0max, jmax):
+    assert enumerate_natural_maps(source, target, i0max, j0max, jmax, depth) == \
+        ref_natmap.enumerate_natural_maps(source, target, i0max, j0max, jmax, depth)
 
 
 def test_prime_obstruction():

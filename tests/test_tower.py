@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,7 +38,7 @@ from knaster import (
 )
 from knaster.cli import parse_seq
 from knaster.plmap import wave_eval
-from knaster.tower import _branch, _fold_points, _range_pieces
+from knaster.tower import _branch, _fold_points
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -285,7 +285,7 @@ def test_level_range_differential(pair, t, j, data):
 
 @lru_cache(maxsize=None)
 def deep_tower(target, t):
-    """A depth-60 tower; its range memo is shared across examples on purpose."""
+    """A depth-60 tower, built once and shared across examples."""
     return build_tower(c2, parse_seq(target), t, 60)
 
 
@@ -295,8 +295,8 @@ def deep_tower(target, t):
        st.integers(min_value=1, max_value=60),
        st.data())
 def test_level_range_deep_differential(target, t, j, data):
-    # the outer-branch walk-up against the all-branch one, far past the
-    # levels that can be materialized
+    # the two single-extremum descents against the all-branch walk-up, far
+    # past the levels that can be materialized
     tower = deep_tower(target, t)
     lvl = tower.level(j)
     b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
@@ -344,27 +344,6 @@ def test_level_conditions_every_level_depth_1000():
     assert time.perf_counter() - t0 < 15.0
 
 
-def stored_range_pieces(n, bounds, lo, hi):
-    """Reference for _range_pieces: the stored-fold version, which cut [lo, hi]
-    at bisections of the stored switch points t_1..t_{m-1}."""
-    first = bisect_right(bounds, lo)
-    cuts = (lo, *bounds[first:bisect_left(bounds, hi)], hi)
-    pieces = []
-    for lam, (p, q) in enumerate(zip(cuts, cuts[1:]), first):
-        c_lo, c_hi = math.ceil(n * p), math.floor(n * q)
-        if c_hi > c_lo:
-            pieces.append((lam, (F(0), F(1))))
-            continue
-        u1, u2 = sorted((wave_eval(n * p), wave_eval(n * q)))
-        if c_hi == c_lo:
-            if c_lo % 2 == 0:
-                u1 = F(0)
-            else:
-                u2 = F(1)
-        pieces.append((lam, (u1, u2)))
-    return pieces
-
-
 # targets with m in {2, 3, 5}, so switch points t_lam of both parities of lam
 # lie on even and on odd tent legs (checked below)
 LEG_PAIRS = (("const:2", "const:2"), ("const:2", "const:3"), ("const:3", "const:5"),
@@ -380,7 +359,7 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
     b_prev = F(1)
     for lvl in tower.levels:
         n = lvl.n
-        folds = _fold_points(n, lvl.k, lvl.m, F(0), b_prev)
+        folds = ref_range.fold_points(lvl, b_prev)
         bounds = folds[1:lvl.m]
         points = [*folds, *(F(c, n) for c in range(n + 1)),
                   *(F(rng.randint(0, 10 ** 6), 10 ** 6) for _ in range(40))]
@@ -391,8 +370,8 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
         pairs = [(x, x) for x in points] + [sorted(rng.sample(points, 2)) for _ in range(300)]
         pairs += [(lo, hi) for lo in folds for hi in folds if lo <= hi]
         for lo, hi in pairs:
-            assert _range_pieces(lvl, b_prev, lo, hi) == \
-                stored_range_pieces(n, bounds, lo, hi), (lvl.j, lo, hi)
+            assert level_range(tower, lvl.j, lo, hi) == \
+                ref_range.level_range(tower, lvl.j, lo, hi), (lvl.j, lo, hi)
         b_prev = lvl.b_self
 
 
@@ -428,6 +407,16 @@ def test_wide_target_build_is_linear():
     elapsed, peak_mib = map(float, out.split())
     assert elapsed < 1.0, f"depth-400 build took {elapsed:.2f} s"
     assert peak_mib < 50, f"depth-400 build allocated up to {peak_mib:.0f} MiB"
+
+
+def test_wide_target_level_conditions():
+    # m_j = 1000 at every level: a range walk that split each interval at
+    # every switch point took about 18 s for level 400 on a 2-vCPU host
+    tower = build_tower(c2, SeqSpec.constant(1000), F(1, 3), 400)
+    t0 = time.perf_counter()
+    assert check_level_conditions(tower, 400).all_ok
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"level-400 conditions took {elapsed:.2f} s"
 
 
 def test_fold_points_reject_bad_arguments():
