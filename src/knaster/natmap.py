@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .seqs import SeqSpec
 
@@ -69,6 +68,35 @@ def is_compatible(spec: NaturalMapSpec, depth: int) -> bool:
     return first_incompatible(spec, depth) is None
 
 
+def _least_compatible_picks(source: SeqSpec, target: SeqSpec, i0: int, j0: int,
+                            jmax: int, depth: int) -> tuple[int, ...] | None:
+    """Lexicographically least j_1 < ... < j_depth <= jmax, all past j0, with
+    every i_k a positive integer, or None.
+
+    i_k depends only on i_{k-1} and the picks j_{k-1} < j_k, so the picks are
+    searched depth-first, in increasing order, on an explicit stack, and a
+    prefix is dropped at the first k where i_k fails. Sequence terms are
+    read only as far as the search gets.
+    """
+    picks: list[int] = []
+    stack = [(j0 + 1, i0)]  # frame k: next candidate for j_k, i_{k-1}*n_{j_{k-1}+1}*...*n_{j_k-1}
+    while stack:
+        if len(picks) == depth:
+            return tuple(picks)
+        k = len(stack)
+        j, block = stack.pop()
+        if j > jmax - depth + k:  # no room left for j_{k+1}, ..., j_depth
+            if picks:
+                picks.pop()
+            continue
+        block *= source.nth(j)
+        stack.append((j + 1, block))
+        if block % target.nth(k) == 0:
+            picks.append(j)
+            stack.append((j + 1, block // target.nth(k)))
+    return None
+
+
 def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
                            j0max: int, jmax: int, depth: int) -> list[NaturalMapSpec]:
     """All compatible specs within the bounds, one per induced map.
@@ -83,11 +111,9 @@ def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
     out: list[NaturalMapSpec] = []
     for i0 in range(1, i0max + 1):
         for j0 in range(min(j0max, jmax) + 1):
-            for rest in combinations(range(j0 + 1, jmax + 1), depth):
-                spec = NaturalMapSpec(i0, (j0, *rest), source, target)
-                if depth == 0 or first_incompatible(spec, depth) is None:
-                    out.append(spec)
-                    break
+            picks = _least_compatible_picks(source, target, i0, j0, jmax, depth)
+            if picks is not None:
+                out.append(NaturalMapSpec(i0, (j0, *picks), source, target))
     if len({(s.i0, s.jseq[0]) for s in out}) != len(out):
         raise AssertionError("two emitted specs share (i0, j_0): one map listed twice")
     return out

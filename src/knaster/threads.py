@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .natmap import NaturalMapSpec, induced_indices
 from .plmap import ONE, ZERO, as_rat, tent_preimages, wave_eval
 from .seqs import GroupedSeq, SeqSpec
 from .tower import Tower, eval_level
 
-BondingSeq = Union[SeqSpec, GroupedSeq]
+BondingSeq = SeqSpec | GroupedSeq
 
 
 @dataclass(frozen=True)

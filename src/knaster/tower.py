@@ -10,7 +10,9 @@ for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
 lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
 two tracked preimages, its fold points follow by leg arithmetic, and
-evaluation descends the levels.
+evaluation descends the levels. No tower step takes a gcd of two long
+integers: evaluation descends and climbs on integer numerators and builds
+one Fraction at the end.
 Exact range queries descend too: only an interval's first branch holds its
 minimum and only its last its maximum, so each extreme follows one
 subinterval per level, and stops at a stretch holding a whole tent leg,
@@ -169,18 +171,25 @@ class LevelData:
     zmax_self: Fraction
 
 
-def _branch(lvl: LevelData, b_prev: Fraction, c: int, u: Fraction) -> int:
+def _branch(lvl: LevelData, b_prev: Fraction, c: int, U: int, D: int) -> int:
     """Branch index of lvl (its switch points t_1..t_{m-1} at or left of x) at
-    x on tent leg c = floor(n*x), u = tent(n)(x). t_lam lies on leg k + lam and
-    maps to 0 (lam even) or b_prev (lam odd), and tent(n) rises on even legs,
-    falls on odd ones, so only t_{c-k} needs a compare."""
+    x on tent leg c = floor(n*x), U/D = tent(n)(x) with D > 0. t_lam lies on
+    leg k + lam and maps to 0 (lam even) or b_prev (lam odd), and tent(n)
+    rises on even legs, falls on odd ones, so only t_{c-k} needs a compare,
+    made by cross-multiplying."""
     d = c - lvl.k
     if d < 1:
         return 0
     if d >= lvl.m:
         return lvl.m - 1
-    y = b_prev if d % 2 else ZERO
-    return d if (y <= u if c % 2 == 0 else u <= y) else d - 1
+    lhs, rhs = (b_prev.numerator * D, U * b_prev.denominator) if d % 2 else (0, U)
+    return d if (lhs <= rhs if c % 2 == 0 else rhs <= lhs) else d - 1
+
+
+def _leg(n: int, c: int, y: Fraction) -> Fraction:
+    """tent_branch(n, c, y) in Fraction-with-int arithmetic: every gcd has
+    n, c or 1 as an operand, not two integers as long as y's."""
+    return (c + y) / n if c % 2 == 0 else (c + 1 - y) / n
 
 
 class Tower:
@@ -212,7 +221,10 @@ class Tower:
 
 
 def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) -> Tower:
-    """Build level data for f_1..f_depth over the regrouped source sequence."""
+    """Build level data for f_1..f_depth over the regrouped source sequence.
+
+    A level costs one integer floor for its slot and two `_leg` steps.
+    """
     t = as_rat(t)
     if not ZERO <= t <= ONE:
         raise ValueError(f"parameter {t} outside [0, 1]")
@@ -221,11 +233,12 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
     grouped = regroup(raw_source, target, depth)
     levels = []
     b_prev, z_prev = ONE, ZERO
+    t_num, t_den = t.numerator, t.denominator
     for j in range(1, depth + 1):
         n, m = grouped.nth(j), target.nth(j)
         if not (m + 2) * j < n:
             raise ValueError(f"level {j}: n = {n} does not exceed (m+2)j = {(m + 2) * j}")
-        slot = slot_index(t, j)
+        slot = min(t_num * j // t_den, j - 1)  # slot_index(t, j)
         k = -(-n * slot // j)
         # Where this level's map first reaches 1: past fold t_{m-1}, on leg c,
         # the map is the top branch, so it reaches 1 where the previous map
@@ -233,35 +246,44 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         # its rightmost zero, on the first odd leg from c).
         c = k + m - 1
         if m % 2 == 1:
-            b_self = tent_branch(n, c + c % 2, b_prev)
+            b_self = _leg(n, c + c % 2, b_prev)
         else:
-            b_self = tent_branch(n, c + 1 - c % 2, z_prev)
+            b_self = _leg(n, c + 1 - c % 2, z_prev)
         # Zeros live left of t_1 only; the rightmost one mirrors the previous
         # level's rightmost zero through the first even leg from k.
-        z_self = tent_branch(n, k + k % 2, z_prev)
+        z_self = _leg(n, k + k % 2, z_prev)
         levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self, zmax_self=z_self))
         b_prev, z_prev = b_self, z_self
     return Tower(raw_source, target, t, grouped, levels)
 
 
 def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
-    """f_j(x), computed by descending the levels (no materialization)."""
+    """f_j(x), computed by descending the levels (no materialization).
+
+    The descent keeps each x_i as X/D over x's own denominator D, one floor
+    per level. The climb applies the inverse branches of tent(m_i) to an
+    unreduced Y/W, W = D*m_1*...*m_i, choosing each by at most one
+    cross-multiplied compare, and reduces one Fraction at the end.
+    """
     x = as_rat(x)
     if not ZERO <= x <= ONE:
         raise ValueError(f"{x} outside [0, 1]")
     if not 0 <= j <= tower.depth:
         raise ValueError(f"level {j} not built (depth {tower.depth})")
+    X, D = x.numerator, x.denominator
     legs = []
     for lvl in reversed(tower.levels[:j]):
-        s = lvl.n * x
-        c = s.numerator // s.denominator
-        x = s - c if c % 2 == 0 else c + 1 - s  # tent(n)(x) on leg c
-        legs.append((lvl, c, x))
-    y, b_prev = x, ONE
-    for lvl, c, u in reversed(legs):
-        y = tent_branch(lvl.m, _branch(lvl, b_prev, c, u), y)
+        s = lvl.n * X
+        c = s // D
+        X = s - c * D if c % 2 == 0 else (c + 1) * D - s  # tent(n)(x) on leg c
+        legs.append((lvl, c, X))
+    Y, W, b_prev = X, D, ONE
+    for lvl, c, U in reversed(legs):
+        lam = _branch(lvl, b_prev, c, U, D)
+        Y = lam * W + Y if lam % 2 == 0 else (lam + 1) * W - Y
+        W *= lvl.m
         b_prev = lvl.b_self
-    return y
+    return Fraction(Y, W)
 
 
 def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET) -> PLMap:
@@ -318,7 +340,8 @@ def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fra
         n = lvl.n
         # cut [lo, hi] to its last piece (max) or its first piece (min)
         x = hi if top else lo
-        lam = _branch(lvl, b_prev, math.floor(n * x), wave_eval(n * x))
+        u = wave_eval(n * x)
+        lam = _branch(lvl, b_prev, math.floor(n * x), u.numerator, u.denominator)
         if top and lam > 0:
             lo = max(lo, _switch(lvl, b_prev, lam))
         elif not top and lam + 1 < lvl.m:

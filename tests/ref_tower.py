@@ -1,0 +1,73 @@
+"""Slow references for `knaster.tower.build_tower` and `eval_level`.
+
+These are the Fraction-step versions that preceded the integer descent and
+climb, kept as the oracle for the tower differentials in `test_tower.py`.
+Every tower step goes through `plmap.tent_branch`, which builds a reduced
+Fraction from two integers as long as the step's value, so each level pays
+a gcd that grows with depth. The slot comes from `slot_index`, and the
+branch choice is a Fraction compare.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from knaster.plmap import ONE, ZERO, RatLike, as_rat, tent_branch
+from knaster.seqs import SeqSpec, regroup
+from knaster.tower import LevelData, Tower, slot_index
+
+
+def _branch(lvl: LevelData, b_prev: Fraction, c: int, u: Fraction) -> int:
+    """Branch index of lvl at x on tent leg c = floor(n*x), u = tent(n)(x)."""
+    d = c - lvl.k
+    if d < 1:
+        return 0
+    if d >= lvl.m:
+        return lvl.m - 1
+    y = b_prev if d % 2 else ZERO
+    return d if (y <= u if c % 2 == 0 else u <= y) else d - 1
+
+
+def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) -> Tower:
+    t = as_rat(t)
+    if not ZERO <= t <= ONE:
+        raise ValueError(f"parameter {t} outside [0, 1]")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    grouped = regroup(raw_source, target, depth)
+    levels = []
+    b_prev, z_prev = ONE, ZERO
+    for j in range(1, depth + 1):
+        n, m = grouped.nth(j), target.nth(j)
+        if not (m + 2) * j < n:
+            raise ValueError(f"level {j}: n = {n} does not exceed (m+2)j = {(m + 2) * j}")
+        slot = slot_index(t, j)
+        k = -(-n * slot // j)
+        c = k + m - 1
+        if m % 2 == 1:
+            b_self = tent_branch(n, c + c % 2, b_prev)
+        else:
+            b_self = tent_branch(n, c + 1 - c % 2, z_prev)
+        z_self = tent_branch(n, k + k % 2, z_prev)
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self, zmax_self=z_self))
+        b_prev, z_prev = b_self, z_self
+    return Tower(raw_source, target, t, grouped, levels)
+
+
+def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
+    x = as_rat(x)
+    if not ZERO <= x <= ONE:
+        raise ValueError(f"{x} outside [0, 1]")
+    if not 0 <= j <= tower.depth:
+        raise ValueError(f"level {j} not built (depth {tower.depth})")
+    legs = []
+    for lvl in reversed(tower.levels[:j]):
+        s = lvl.n * x
+        c = s.numerator // s.denominator
+        x = s - c if c % 2 == 0 else c + 1 - s
+        legs.append((lvl, c, x))
+    y, b_prev = x, ONE
+    for lvl, c, u in reversed(legs):
+        y = tent_branch(lvl.m, _branch(lvl, b_prev, c, u), y)
+        b_prev = lvl.b_self
+    return y

@@ -263,6 +263,16 @@ def test_natmap_enum_stops_at_first_compatible_pick(capsys):
         "i0=1 jseq=" + ",".join(map(str, range(11))), "1 compatible map(s)"]
 
 
+def test_natmap_enum_prunes_failing_prefixes(capsys):
+    # every jseq fails at k = 1 (2^r / 3 is never an integer); trying each
+    # 8-combination of 24 coordinates took about 30 s
+    start = time.perf_counter()
+    assert run("natmap", "enum", "--N", "const:2", "--M", "const:3",
+               "--i0max", "1", "--j0max", "0", "--jmax", "24", "--depth", "8") == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out.splitlines() == ["0 compatible map(s)"]
+
+
 def test_lifts_cli(tmp_path):
     out = tmp_path / "lifts.json"
     assert run("lifts", "--h", "tent:7", "--m", "3", "--cap", "3",

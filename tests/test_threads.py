@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import knaster
 from knaster import (
     NaturalMapSpec,
     SeqSpec,
@@ -119,3 +123,24 @@ def test_apply_tower_depth_mismatch():
     th = endpoint(tower.grouped, 5)
     with pytest.raises(ValueError):
         apply_tower(tower, th)
+
+
+def test_reimport_frees_the_old_modules():
+    # a module-level typing.Union of knaster classes sat in typing's global
+    # cache and kept every earlier import of knaster.seqs alive
+    code = (
+        "import gc, sys, weakref\n"
+        "import knaster, knaster.cli\n"
+        "ref = weakref.ref(knaster.seqs.SeqSpec)\n"
+        "for name in [n for n in sys.modules if n.split('.')[0] == 'knaster']:\n"
+        "    del sys.modules[name]\n"
+        "del knaster\n"
+        "import knaster\n"
+        "gc.collect()\n"
+        "print(ref() is None)\n"
+    )
+    src = os.path.dirname(os.path.dirname(knaster.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.strip() == "True"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import knaster
 import ref_range
+import ref_tower
 from knaster import (
     LapBudgetError,
     LiftSpec,
@@ -38,7 +39,7 @@ from knaster import (
 )
 from knaster.cli import parse_seq
 from knaster.plmap import wave_eval
-from knaster.tower import _branch, _fold_points
+from knaster.tower import _branch, _fold_points, _switch
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -335,8 +336,9 @@ def test_level_range_deep_no_recursion_error():
 
 
 def test_level_conditions_every_level_depth_1000():
-    # about 4.5 s on a 2-vCPU host, mostly eval_level(f_j, 0); a query that
-    # recursed over every tent fold needed 2.9 s for one range at depth 100
+    # about 0.8 s on a 2-vCPU host, 3.8 s when eval_level reduced a Fraction
+    # per level; a query that recursed over every tent fold needed 2.9 s for
+    # one range at depth 100
     tower = build_tower(c2, c2, F(1, 3), 1000)
     t0 = time.perf_counter()
     for j in range(1, 1001):
@@ -365,7 +367,8 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
                   *(F(rng.randint(0, 10 ** 6), 10 ** 6) for _ in range(40))]
         points += [x + d for x in folds for d in (-eps, eps) if 0 <= x + d <= 1]
         for x in points:
-            lam = _branch(lvl, b_prev, math.floor(n * x), wave_eval(n * x))
+            u = wave_eval(n * x)
+            lam = _branch(lvl, b_prev, math.floor(n * x), u.numerator, u.denominator)
             assert lam == bisect_right(bounds, x), (lvl.j, x)
         pairs = [(x, x) for x in points] + [sorted(rng.sample(points, 2)) for _ in range(300)]
         pairs += [(lo, hi) for lo in folds for hi in folds if lo <= hi]
@@ -481,3 +484,79 @@ def test_nonbinary_sequences():
         lvl = tower.level(j)
         assert leftmost_preimage(f, 1) == lvl.b_self
         assert rightmost_preimage(f, 0) == lvl.zmax_self
+
+
+# ------------------------------------------------------------ integer steps vs the Fraction oracle
+
+ORACLE_PAIRS = (("const:2", "const:2"), ("const:2", "const:1000"),
+                ("periodic:3|2,5", "periodic:2|2,3"), ("const:3", "const:2"))
+ORACLE_DEPTH = 300
+
+
+@lru_cache(maxsize=None)
+def oracle_towers(pair, t):
+    """The same depth-300 tower from build_tower and from the oracle."""
+    raw, target = parse_seq(pair[0]), parse_seq(pair[1])
+    return (build_tower(raw, target, t, ORACLE_DEPTH),
+            ref_tower.build_tower(raw, target, t, ORACLE_DEPTH))
+
+
+prime_t = st.builds(lambda p, a: F(a % (p + 1), p),
+                    st.sampled_from((2, 3, 5, 7, 11, 13, 101, 997, 10007)),
+                    st.integers(min_value=0, max_value=10 ** 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_PAIRS), prime_t,
+       st.integers(min_value=0, max_value=ORACLE_DEPTH), st.data())
+def test_tower_matches_fraction_oracle(pair, t, j, data):
+    tower, ref = oracle_towers(pair, t)
+    assert tower.levels == ref.levels
+    # points: 0 and 1, tent folds c/n_j, switch points t_lam, random rationals
+    special = [F(0), F(1)]
+    if j:
+        lvl = tower.level(j)
+        b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
+        special += [F(data.draw(st.integers(0, lvl.n)), lvl.n),
+                    *(_switch(lvl, b_prev, lam) for lam in range(min(lvl.m, 4)))]
+        special.append(_switch(lvl, b_prev, lvl.m - 1))
+    point = st.one_of(st.sampled_from(special),
+                      st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9))
+    for x in data.draw(st.lists(point, min_size=1, max_size=4)):
+        assert eval_level(tower, j, x) == ref_tower.eval_level(ref, j, x), (j, x)
+
+
+def _time_in_fresh_interpreter(code: str) -> float:
+    src = os.path.dirname(os.path.dirname(knaster.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=300).stdout
+    return float(out)
+
+
+def test_deep_build_has_no_big_gcd():
+    # a step through tent_branch pays a gcd of two integers as long as the
+    # tracked preimages: about 7.7 s at depth 4000 on a 2-vCPU host, 0.25 s
+    # with every gcd on a small operand
+    elapsed = _time_in_fresh_interpreter(
+        "import time\n"
+        "from knaster import SeqSpec, build_tower\n"
+        "t0 = time.perf_counter()\n"
+        "build_tower(SeqSpec.constant(2), SeqSpec.constant(2), '1/3', 4000)\n"
+        "print(time.perf_counter() - t0)\n")
+    assert elapsed < 2.0, f"depth-4000 build took {elapsed:.2f} s"
+
+
+def test_deep_eval_has_no_big_gcd():
+    # f_1500 on a const:1000 target: 0.37 s a point with a reduced Fraction
+    # per level, about 3 ms with the integer descent and climb
+    elapsed = _time_in_fresh_interpreter(
+        "import time\n"
+        "from knaster import SeqSpec, build_tower, eval_level\n"
+        "tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(1000), '1/3', 1500)\n"
+        "points = ['0', '1', '2/7', '1/3', '999/1000', '123456/1000003']\n"
+        "t0 = time.perf_counter()\n"
+        "for x in points:\n"
+        "    eval_level(tower, 1500, x)\n"
+        "print((time.perf_counter() - t0) / len(points))\n")
+    assert elapsed < 0.05, f"f_1500 took {elapsed:.3f} s a point"
