@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .plmap import ONE, ZERO, RatLike, as_rat
-from .seqs import GroupedSeq, SeqSpec, regroup
+from .seqs import GroupedSeq, SeqSpec
 from .tower import build_tower, eval_level, slot_index
 
 
@@ -49,8 +49,9 @@ def pick_level(t: RatLike, s: RatLike, ell: int, target: SeqSpec) -> int:
         raise ValueError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
     if ell < 1:
         raise ValueError("ell must be positive")
+    gap = s - t
     j, p = 1, 1  # p = m_1*...*m_{j-1}, kept as a running product
-    while not (p > ell and Fraction(3, j) < s - t):
+    while not (p > ell and 3 * gap.denominator < j * gap.numerator):  # 3/j < gap
         p *= target.nth(j)
         j += 1
     return j
@@ -118,7 +119,9 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
 
 
 def verify_certificate(cert: Certificate, raw_source: SeqSpec, target: SeqSpec) -> bool:
-    """Independently rebuild the towers and recheck every certificate invariant."""
+    """Independently rebuild the towers and recheck every certificate invariant.
+
+    The t-tower, built first, gives n_j and t's slot to the witness checks."""
     try:
         t, s, j = cert.t, cert.s, cert.j
         if not (ZERO <= t < s <= ONE) or cert.ell < 1 or j < 1 or cert.q < 1:
@@ -129,15 +132,14 @@ def verify_certificate(cert: Certificate, raw_source: SeqSpec, target: SeqSpec) 
         m_j = target.nth(j)
         if cert.p != p or cert.r != p * m_j or p <= cert.ell:
             return False
-        grouped = regroup(raw_source, target, j)
-        if cert.witness != Fraction(2 * cert.q, grouped.nth(j)):
+        tower_t = build_tower(raw_source, target, t, j)
+        lvl = tower_t.level(j)
+        if cert.witness != Fraction(2 * cert.q, lvl.n):
             return False
-        slot = slot_index(t, j)
-        if not Fraction(slot + 1, j) <= cert.witness <= Fraction(slot + 2, j):
+        if not Fraction(lvl.slot + 1, j) <= cert.witness <= Fraction(lvl.slot + 2, j):
             return False
         if not ZERO <= cert.witness <= ONE:
             return False
-        tower_t = build_tower(raw_source, target, t, j)
         tower_s = build_tower(raw_source, target, s, j)
         if eval_level(tower_t, j, cert.witness) != cert.vt:
             return False

@@ -16,11 +16,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd
 
 from .distinguish import Certificate
 from .natmap import NaturalMapSpec
-from .plmap import PLMap
+from .plmap import PLMap, as_rat
 from .seqs import GroupedSeq, SeqSpec
 from .threads import Thread
 from .tower import Tower, build_tower
@@ -50,7 +49,7 @@ def _digits_to_int(digits: str) -> int:
 
 
 def rat_to_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = as_rat(x)
     if x.denominator == 1:
         return _int_to_str(x.numerator)
     return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
@@ -67,9 +66,10 @@ def rat_from_str(text: str) -> Fraction:
     if den_digits == "1" or (sign and digits == "0"):
         raise ValueError(f"non-canonical rational {text!r}")
     den = _digits_to_int(den_digits or "1")
-    if gcd(abs(num), den) != 1:
+    value = Fraction(num, den)
+    if value.denominator != den:
         raise ValueError(f"rational {text!r} is not in lowest terms")
-    return Fraction(num, den)
+    return value
 
 
 def _unit_rat_from_str(text: str) -> Fraction:
@@ -104,7 +104,7 @@ def plmap_from_obj(obj: dict) -> PLMap:
     pts = obj["breakpoints"]
     if not isinstance(pts, list):
         raise ValueError("breakpoints must be a list")
-    return PLMap([(_unit_rat_from_str(x), _unit_rat_from_str(y)) for x, y in pts])
+    return PLMap((rat_from_str(x), rat_from_str(y)) for x, y in pts)  # PLMap checks ranges
 
 
 # --------------------------------------------------------------- SeqSpec
@@ -164,7 +164,7 @@ def thread_to_obj(thread: Thread) -> dict:
 def thread_from_obj(obj: dict) -> Thread:
     return Thread(
         seq=seqspec_from_obj(obj["seq"]),
-        coords=tuple(_unit_rat_from_str(x) for x in obj["coords"]),
+        coords=tuple(rat_from_str(x) for x in obj["coords"]),
     )
 
 
@@ -186,7 +186,7 @@ def tower_from_obj(obj: dict) -> Tower:
     keys of a level record, such as older files' derived fold data, are ignored."""
     raw_source = seqspec_from_obj(obj["rawN"])
     target = seqspec_from_obj(obj["M"])
-    t = _unit_rat_from_str(obj["t"])
+    t = rat_from_str(obj["t"])
     depth = _require_int(obj, "depth")
     stored = obj["levels"]
     if len(stored) != depth:
@@ -217,6 +217,7 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> Certificate:
+    # Certificate checks nothing, so an out-of-range value is bad input here
     return Certificate(
         t=_unit_rat_from_str(obj["t"]),
         s=_unit_rat_from_str(obj["s"]),

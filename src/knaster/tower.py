@@ -10,7 +10,8 @@ for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
 lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
 two tracked preimages, its fold points follow by leg arithmetic, and
-evaluation descends the levels. No tower step takes a gcd of two long
+evaluation descends the levels; an explicit f_j is built on request and
+kept by no one but the caller. No tower step takes a gcd of two long
 integers: evaluation descends and climbs on integer numerators and builds
 one Fraction at the end.
 Exact range queries descend too: only an interval's first branch holds its
@@ -197,7 +198,7 @@ class Tower:
 
     Levels hold four integers and two rationals each. Evaluation and range
     queries are lazy and cache nothing; materialization is opt-in, guarded
-    by an explicit lap budget, and keeps the levels it builds.
+    by an explicit lap budget, and caches nothing either.
     Construction is sequential, evaluation afterwards is pure.
     """
 
@@ -208,7 +209,6 @@ class Tower:
         self.t = t
         self.grouped = grouped
         self.levels: tuple[LevelData, ...] = tuple(levels)
-        self._materialized: dict[int, PLMap] = {}
 
     @property
     def depth(self) -> int:
@@ -287,23 +287,19 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
 
 
 def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET) -> PLMap:
-    """Explicit canonical PLMap equal to f_j; refuses when n_1*...*n_j > budget."""
+    """Explicit canonical PLMap equal to f_j; refuses when n_1*...*n_j > budget.
+
+    Each call lifts f_0 = identity up to level j and keeps nothing."""
     if not 0 <= j <= tower.depth:
         raise ValueError(f"level {j} not built (depth {tower.depth})")
     estimate = tower.grouped.prefix_product(j)
     if estimate > lap_budget:
         raise LapBudgetError(
             f"estimated lap {estimate} at level {j} exceeds budget {lap_budget}")
-    cache = tower._materialized
-    if 0 not in cache:
-        cache[0] = tent(1)
-    start = max(i for i in cache if i <= j)
-    f = cache[start]
-    for idx in range(start + 1, j + 1):
-        lvl = tower.levels[idx - 1]
-        f = construct_lift(LiftSpec(lvl.m, lvl.n, q=idx, i=lvl.slot, f0=f))
-        cache[idx] = f
-    return cache[j]
+    f = tent(1)
+    for lvl in tower.levels[:j]:
+        f = construct_lift(LiftSpec(lvl.m, lvl.n, q=lvl.j, i=lvl.slot, f0=f))
+    return f
 
 
 def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fraction, Fraction]:

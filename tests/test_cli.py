@@ -73,6 +73,11 @@ def test_tower_build_eval_materialize(tmp_path):
     for x in ("1/1", "-0"):
         assert run("tower", "eval", "--tower", str(tower_path),
                    "--level", "1", "--x", x) == 2
+    # and a tower file whose t lies outside [0, 1]
+    bad_path = tmp_path / "bad_tower.json"
+    bad_path.write_text(dumps({**json.loads(tower_path.read_text()), "t": "3/2"}))
+    assert run("tower", "eval", "--tower", str(bad_path),
+               "--level", "1", "--x", "0") == 2
 
 
 def test_tower_eval_output(tmp_path, capsys):
@@ -190,6 +195,11 @@ def test_distinguish_and_verify(tmp_path, capsys):
     assert run("verify-cert", "--cert", str(cert_path),
                "--N", "const:2", "--M", "const:2") == 1
 
+    obj["vt"] = "3/2"  # out of range: invalid input, not a rejected certificate
+    cert_path.write_text(dumps(obj))
+    assert run("verify-cert", "--cert", str(cert_path),
+               "--N", "const:2", "--M", "const:2") == 2
+
 
 def test_cached_parser_keeps_calls_apart(tmp_path, capsys):
     argvs = [
@@ -301,6 +311,9 @@ def test_thread_commands(tmp_path, capsys):
     bad_path.write_text(dumps(thread_to_obj(bad)))
     assert run("thread", "validate", "--thread", str(bad_path)) == 1
     assert "fails at i=1" in capsys.readouterr().out
+    out_path = tmp_path / "out_of_range.json"
+    out_path.write_text(dumps({**thread_to_obj(th), "coords": ["1/2", "3/2"]}))
+    assert run("thread", "validate", "--thread", str(out_path)) == 2
 
     ext_path = tmp_path / "children.json"
     assert run("thread", "extend", "--thread", str(th_path),
@@ -368,6 +381,11 @@ def test_plot_rejects_bad_input(tmp_path):
     assert run("plot", "--maps", "", "--out", str(tmp_path / "x.svg")) == 2
     assert run("plot", "--maps", "tent:2", "--labels", "a,b",
                "--out", str(tmp_path / "y.svg")) == 2
+    for name, pts in (("x.json", [["0", "0"], ["3/2", "1"], ["1", "1"]]),
+                      ("y.json", [["0", "-1/2"], ["1", "1"]])):
+        (tmp_path / name).write_text(dumps({"breakpoints": pts}))
+        assert run("plot", "--maps", str(tmp_path / name),
+                   "--out", str(tmp_path / "z.svg")) == 2
 
 
 def test_missing_file_is_usage_error(tmp_path):

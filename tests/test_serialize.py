@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from knaster import (
     Thread,
     build_tower,
     make_certificate,
+    materialize_level,
     tent,
 )
 from knaster.serialize import (
@@ -91,6 +93,24 @@ def test_plmap_rejects_bad_values():
         plmap_from_obj({"breakpoints": [["0", "0"], ["1", "2/4"]]})
     with pytest.raises(ValueError):
         plmap_from_obj({"breakpoints": "nope"})
+    with pytest.raises(ValueError):  # a middle x past 1
+        plmap_from_obj({"breakpoints": [["0", "0"], ["3/2", "1"], ["1", "1"]]})
+    with pytest.raises(ValueError):
+        plmap_from_obj({"breakpoints": [["0", "-1/2"], ["1", "1"]]})
+
+
+def test_plmap_from_obj_holds_no_second_copy():
+    # the level-4 map has 56,800 breakpoints; parsing streams them into PLMap
+    f4 = materialize_level(build_tower(c2, c2, F(1, 3), 4), 4)
+    obj = plmap_to_obj(f4)
+    tracemalloc.start()
+    try:
+        f = plmap_from_obj(obj)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f == f4
+    assert peak < 1.5 * size, f"peak {peak} bytes for a map of {size} bytes"
 
 
 def test_seqspec_roundtrip():
@@ -125,6 +145,8 @@ def test_thread_roundtrip():
     th = Thread(c2, (F(1, 2), F(1, 4), F(1, 8)))
     again = thread_from_obj(json.loads(dumps(thread_to_obj(th))))
     assert again == th
+    with pytest.raises(ValueError):
+        thread_from_obj({**thread_to_obj(th), "coords": ["1/2", "3/2", "1/8"]})
 
 
 def test_grouped_thread_serializes_terms():
@@ -152,6 +174,8 @@ def test_tower_roundtrip_and_reverification():
     short["levels"] = short["levels"][:-1]
     with pytest.raises(ValueError):
         tower_from_obj(short)
+    with pytest.raises(ValueError):
+        tower_from_obj({**obj, "t": "3/2"})
 
 
 # A tower record in the older format, which also stored each level's derived
@@ -193,6 +217,8 @@ def test_certificate_roundtrip():
     assert certificate_from_obj(obj) == cert
     with pytest.raises(ValueError):
         certificate_from_obj({**obj, "p": "64"})  # counters are JSON integers
+    with pytest.raises(ValueError):
+        certificate_from_obj({**obj, "vt": "3/2"})
 
 
 def test_dumps_deterministic():

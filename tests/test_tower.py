@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import random
@@ -186,8 +187,9 @@ def test_lazy_matches_materialized(t):
 @pytest.mark.parametrize("t", T_GRID)
 def test_tracked_preimages_match_materialized(t):
     tower = build_tower(c2, c2, t, 4)
+    maps = [materialize_level(tower, j) for j in range(5)]
     for j in range(1, 5):
-        f = materialize_level(tower, j)
+        f = maps[j]
         lvl = tower.level(j)
         assert leftmost_preimage(f, 1) == lvl.b_self
         assert rightmost_preimage(f, 0) == lvl.zmax_self
@@ -196,7 +198,7 @@ def test_tracked_preimages_match_materialized(t):
         if j < 4:
             nxt = tower.level(j + 1)
             folds = _fold_points(nxt.n, nxt.k, nxt.m, F(0), lvl.b_self)
-            assert [materialize_level(tower, j + 1)(x) for x in folds] == \
+            assert [maps[j + 1](x) for x in folds] == \
                 [F(lam, nxt.m) for lam in range(nxt.m + 1)]
 
 
@@ -445,6 +447,20 @@ def test_materialize_budget():
     # j = 4 estimate is 8*16*16*32 = 65536
     f4 = materialize_level(tower, 4, 10 ** 5)
     assert lap(f4) <= 65536
+
+
+def test_materialize_level_keeps_nothing():
+    tower = build_tower(c2, c2, F(1, 3), 4)
+
+    def attrs():  # containers copied, so that growth in place shows
+        return {k: copy.copy(v) if isinstance(v, (dict, list, set)) else v
+                for k, v in vars(tower).items()}
+
+    before = attrs()
+    maps = [materialize_level(tower, j) for j in (4, 3, 4)]
+    assert attrs() == before
+    fresh = {j: materialize_level(build_tower(c2, c2, F(1, 3), 4), j) for j in (3, 4)}
+    assert maps == [fresh[4], fresh[3], fresh[4]]
 
 
 def test_materialize_desk_j2():
