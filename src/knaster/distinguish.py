@@ -128,6 +128,8 @@ def verify_certificate(cert: Certificate, raw_source: SeqSpec, target: SeqSpec) 
             return False
         if not Fraction(3, j) < s - t:
             return False
+        if int(cert.p).bit_length() < j:  # every m_i >= 2, so p >= 2^(j-1)
+            return False
         p = target.prefix_product(j - 1)
         m_j = target.nth(j)
         if cert.p != p or cert.r != p * m_j or p <= cert.ell:

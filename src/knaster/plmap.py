@@ -285,10 +285,10 @@ def tent_preimages(n: int, y: RatLike) -> list[Fraction]:
     return sorted({tent_branch(n, c, y) for c in range(n)})
 
 
-def tent_branch(n: int, c: int, y: Fraction) -> Fraction:
+def tent_branch(n: int, c: int, y: RatLike) -> Fraction:
     """The point of leg c (0-based) of tent(n), [c/n, (c+1)/n], that tent(n)
-    maps to y: the inverse branch of tent(n) on that leg."""
-    num, den = y.numerator, y.denominator
-    if c % 2 == 0:
-        return Fraction(c * den + num, n * den)
-    return Fraction((c + 1) * den - num, n * den)
+    maps to y: the inverse branch of tent(n) on that leg. Fraction-with-int
+    arithmetic, so every gcd has n, c or 1 as an operand, not two integers
+    as long as y's."""
+    y = as_rat(y)
+    return (c + y) / n if c % 2 == 0 else (c + 1 - y) / n

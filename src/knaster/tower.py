@@ -9,11 +9,11 @@ Iterating the kernel with q = level index and i = slot_index(t, j) yields,
 for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
 lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
-two tracked preimages, its fold points follow by leg arithmetic, and
+one tracked preimage, its fold points follow by leg arithmetic, and
 evaluation descends the levels; an explicit f_j is built on request and
 kept by no one but the caller. No tower step takes a gcd of two long
-integers: evaluation descends and climbs on integer numerators and builds
-one Fraction at the end.
+integers: queries descend and climb on integer numerators and build one
+Fraction at the end.
 Exact range queries descend too: only an interval's first branch holds its
 minimum and only its last its maximum, so each extreme follows one
 subinterval per level, and stops at a stretch holding a whole tent leg,
@@ -159,9 +159,9 @@ def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
 @dataclass(frozen=True)
 class LevelData:
     """One tower level. Its fold points t_lam = tent_branch(n, k + lam, 0 or
-    the level below's b_self) are derived, not stored; b_self and zmax_self
-    track this level's own leftmost 1-preimage and rightmost 0-preimage, which
-    the next level needs, so towers never have to materialize anything."""
+    the level below's b_self) are derived, not stored; b_self tracks this
+    level's own leftmost 1-preimage, which the next level's fold points need,
+    so towers never have to materialize anything."""
 
     j: int
     n: int
@@ -169,7 +169,6 @@ class LevelData:
     slot: int
     k: int
     b_self: Fraction
-    zmax_self: Fraction
 
 
 def _branch(lvl: LevelData, b_prev: Fraction, c: int, U: int, D: int) -> int:
@@ -187,16 +186,19 @@ def _branch(lvl: LevelData, b_prev: Fraction, c: int, U: int, D: int) -> int:
     return d if (lhs <= rhs if c % 2 == 0 else rhs <= lhs) else d - 1
 
 
-def _leg(n: int, c: int, y: Fraction) -> Fraction:
-    """tent_branch(n, c, y) in Fraction-with-int arithmetic: every gcd has
-    n, c or 1 as an operand, not two integers as long as y's."""
-    return (c + y) / n if c % 2 == 0 else (c + 1 - y) / n
+def _climb(branches, Y: int, W: int) -> Fraction:
+    """tent_branch(m, lam, .) for each (m, lam) of a descent, top level first,
+    applied bottom-up to Y/W kept unreduced; one Fraction at the end."""
+    for m, lam in reversed(branches):
+        Y = lam * W + Y if lam % 2 == 0 else (lam + 1) * W - Y
+        W *= m
+    return Fraction(Y, W)
 
 
 class Tower:
     """The family {f_j} for fixed (raw source sequence, target sequence, t).
 
-    Levels hold four integers and two rationals each. Evaluation and range
+    Levels hold four integers and one rational each. Evaluation and range
     queries are lazy and cache nothing; materialization is opt-in, guarded
     by an explicit lap budget, and caches nothing either.
     Construction is sequential, evaluation afterwards is pure.
@@ -223,7 +225,7 @@ class Tower:
 def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) -> Tower:
     """Build level data for f_1..f_depth over the regrouped source sequence.
 
-    A level costs one integer floor for its slot and two `_leg` steps.
+    A level costs one integer floor for its slot and two `tent_branch` steps.
     """
     t = as_rat(t)
     if not ZERO <= t <= ONE:
@@ -246,14 +248,14 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         # its rightmost zero, on the first odd leg from c).
         c = k + m - 1
         if m % 2 == 1:
-            b_self = _leg(n, c + c % 2, b_prev)
+            b_self = tent_branch(n, c + c % 2, b_prev)
         else:
-            b_self = _leg(n, c + 1 - c % 2, z_prev)
+            b_self = tent_branch(n, c + 1 - c % 2, z_prev)
         # Zeros live left of t_1 only; the rightmost one mirrors the previous
         # level's rightmost zero through the first even leg from k.
-        z_self = _leg(n, k + k % 2, z_prev)
-        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self, zmax_self=z_self))
-        b_prev, z_prev = b_self, z_self
+        z_prev = tent_branch(n, k + k % 2, z_prev)
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self))
+        b_prev = b_self
     return Tower(raw_source, target, t, grouped, levels)
 
 
@@ -261,9 +263,9 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
     """f_j(x), computed by descending the levels (no materialization).
 
     The descent keeps each x_i as X/D over x's own denominator D, one floor
-    per level. The climb applies the inverse branches of tent(m_i) to an
-    unreduced Y/W, W = D*m_1*...*m_i, choosing each by at most one
-    cross-multiplied compare, and reduces one Fraction at the end.
+    per level, and picks each level's inverse branch of tent(m_i) by at most
+    one cross-multiplied compare. The climb applies them to an unreduced
+    Y/W, W = D*m_1*...*m_i, and reduces one Fraction at the end.
     """
     x = as_rat(x)
     if not ZERO <= x <= ONE:
@@ -271,19 +273,15 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
     if not 0 <= j <= tower.depth:
         raise ValueError(f"level {j} not built (depth {tower.depth})")
     X, D = x.numerator, x.denominator
-    legs = []
-    for lvl in reversed(tower.levels[:j]):
+    branches = []
+    for i in range(j - 1, -1, -1):
+        lvl = tower.levels[i]
         s = lvl.n * X
         c = s // D
         X = s - c * D if c % 2 == 0 else (c + 1) * D - s  # tent(n)(x) on leg c
-        legs.append((lvl, c, X))
-    Y, W, b_prev = X, D, ONE
-    for lvl, c, U in reversed(legs):
-        lam = _branch(lvl, b_prev, c, U, D)
-        Y = lam * W + Y if lam % 2 == 0 else (lam + 1) * W - Y
-        W *= lvl.m
-        b_prev = lvl.b_self
-    return Fraction(Y, W)
+        b_prev = tower.levels[i - 1].b_self if i else ONE
+        branches.append((lvl.m, _branch(lvl, b_prev, c, X, D)))
+    return _climb(branches, X, D)
 
 
 def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET) -> PLMap:
@@ -358,9 +356,7 @@ def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fra
                 hi = ONE
     else:
         y = hi if top else lo  # level 0 is the identity
-    for m, lam in reversed(branches):
-        y = tent_branch(m, lam, y)
-    return y
+    return _climb(branches, y.numerator, y.denominator)
 
 
 def commutes_pointwise(tower: Tower, j: int, x: RatLike) -> bool:

@@ -2,19 +2,28 @@
 
 These are the Fraction-step versions that preceded the integer descent and
 climb, kept as the oracle for the tower differentials in `test_tower.py`.
-Every tower step goes through `plmap.tent_branch`, which builds a reduced
+Every tower step goes through `_tent_branch`, which builds a reduced
 Fraction from two integers as long as the step's value, so each level pays
-a gcd that grows with depth. The slot comes from `slot_index`, and the
-branch choice is a Fraction compare.
+a gcd that grows with depth; the library's `tent_branch` takes another
+arithmetic path, so the `b_self` differential compares two. The slot comes
+from `slot_index`, and the branch choice is a Fraction compare.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from knaster.plmap import ONE, ZERO, RatLike, as_rat, tent_branch
+from knaster.plmap import ONE, ZERO, RatLike, as_rat
 from knaster.seqs import SeqSpec, regroup
 from knaster.tower import LevelData, Tower, slot_index
+
+
+def _tent_branch(n: int, c: int, y: Fraction) -> Fraction:
+    """The inverse branch of tent(n) on leg c, as one reduced Fraction."""
+    num, den = y.numerator, y.denominator
+    if c % 2 == 0:
+        return Fraction(c * den + num, n * den)
+    return Fraction((c + 1) * den - num, n * den)
 
 
 def _branch(lvl: LevelData, b_prev: Fraction, c: int, u: Fraction) -> int:
@@ -45,12 +54,12 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         k = -(-n * slot // j)
         c = k + m - 1
         if m % 2 == 1:
-            b_self = tent_branch(n, c + c % 2, b_prev)
+            b_self = _tent_branch(n, c + c % 2, b_prev)
         else:
-            b_self = tent_branch(n, c + 1 - c % 2, z_prev)
-        z_self = tent_branch(n, k + k % 2, z_prev)
-        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self, zmax_self=z_self))
-        b_prev, z_prev = b_self, z_self
+            b_self = _tent_branch(n, c + 1 - c % 2, z_prev)
+        z_prev = _tent_branch(n, k + k % 2, z_prev)
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self))
+        b_prev = b_self
     return Tower(raw_source, target, t, grouped, levels)
 
 
@@ -68,6 +77,6 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
         legs.append((lvl, c, x))
     y, b_prev = x, ONE
     for lvl, c, u in reversed(legs):
-        y = tent_branch(lvl.m, _branch(lvl, b_prev, c, u), y)
+        y = _tent_branch(lvl.m, _branch(lvl, b_prev, c, u), y)
         b_prev = lvl.b_self
     return y

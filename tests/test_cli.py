@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import knaster
 from knaster.cli import _parser, build_parser, main
 from knaster.serialize import dumps, plmap_from_obj, rat_from_str, rat_to_str, thread_to_obj
 from knaster import PLMap, SeqSpec, Thread, build_tower, compose, eval_level, tent
@@ -32,6 +36,20 @@ def test_semigroup_bad_range():
 def test_unknown_flags_and_commands():
     assert run("semigroup", "--bogus") == 2
     assert run("no-such-command") == 2
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(knaster.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def knaster_module(*argv):
+        return subprocess.run([sys.executable, "-m", "knaster", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    ok = knaster_module("semigroup", "--maxn", "3")
+    assert ok.returncode == 0
+    assert "checked 4 pairs, 0 failures" in ok.stdout
+    assert knaster_module("semigroup", "--bogus").returncode == 2
 
 
 def test_help_exits_cleanly(capsys):
@@ -189,6 +207,11 @@ def test_distinguish_and_verify(tmp_path, capsys):
 
     assert run("verify-cert", "--cert", str(cert_path),
                "--N", "const:2", "--M", "const:2") == 0
+
+    # a forged level is rejected before any work as long as j
+    cert_path.write_text(dumps({**obj, "j": 10 ** 12}))
+    assert run("verify-cert", "--cert", str(cert_path),
+               "--N", "const:2", "--M", "const:2") == 1
 
     obj["vs"] = "1/128"
     cert_path.write_text(dumps(obj))

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -162,6 +163,16 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(replace(cert, r=cert.r + 1), c2, c2)
     assert not verify_certificate(replace(cert, j=cert.j + 1), c2, c2)
     assert not verify_certificate(replace(cert, s=cert.t), c2, c2)
+
+
+def test_verify_rejects_forged_level_in_bounded_time():
+    # p = m_1*...*m_{j-1} >= 2^(j-1), so p's bit length caps j before the
+    # verifier multiplies out j-1 terms: j = 10^5 took 0.32 s without the cap
+    cert = make_certificate(c2, c2, F(0), F(1, 2), 4)
+    forged = replace(cert, j=10 ** 5)
+    t0 = time.perf_counter()
+    assert not verify_certificate(forged, c2, c2)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_verify_wrong_sequences():

@@ -295,3 +295,26 @@ def test_tent_branch_lies_on_its_leg(n, data, y):
     x = tent_branch(n, c, y)
     assert F(c, n) <= x <= F(c + 1, n)
     assert tent(n)(x) == y
+
+
+def _reduced_tent_branch(n, c, y):
+    """The inverse branch as one reduced Fraction of two integers."""
+    y = F(y)
+    if c % 2 == 0:
+        return F(c * y.denominator + y.numerator, n * y.denominator)
+    return F((c + 1) * y.denominator - y.numerator, n * y.denominator)
+
+
+def test_tent_branch_matches_reduced_formula():
+    rng = random.Random(8128)
+    big = [F(rng.getrandbits(9000), rng.getrandbits(9000) | 1) for _ in range(20)]
+    ys = [0, 1, F(0), F(1), F(1, 3), F(2, 7), F(999, 1000),
+          *(min(y, 1 / y) for y in big)]
+    for n in (1, 2, 3, 8, 1000, 2 ** 40 + 1):
+        for c in {0, 1, n // 2, n - 1}:
+            for y in ys:
+                x = tent_branch(n, c, y)
+                assert type(x) is Fraction
+                assert x == _reduced_tent_branch(n, c, y), (n, c, y)
+    with pytest.raises(TypeError):
+        tent_branch(3, 1, 0.5)

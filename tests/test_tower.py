@@ -34,7 +34,6 @@ from knaster import (
     level_range,
     materialize_level,
     range_on,
-    rightmost_preimage,
     slot_index,
     tent,
 )
@@ -192,7 +191,6 @@ def test_tracked_preimages_match_materialized(t):
         f = maps[j]
         lvl = tower.level(j)
         assert leftmost_preimage(f, 1) == lvl.b_self
-        assert rightmost_preimage(f, 0) == lvl.zmax_self
         # next level consumed exactly these: its fold points derived from
         # b_self are where f_{j+1} takes the values lam/m
         if j < 4:
@@ -323,7 +321,6 @@ def test_tracked_preimages_differential(target, t):
     for j in range(1, 4):
         lvl = tower.level(j)
         assert leftmost_preimage(maps[j], 1) == lvl.b_self
-        assert rightmost_preimage(maps[j], 0) == lvl.zmax_self
 
 
 def test_level_range_deep_no_recursion_error():
@@ -499,7 +496,6 @@ def test_nonbinary_sequences():
             assert eval_level(tower, j, x) == f(x)
         lvl = tower.level(j)
         assert leftmost_preimage(f, 1) == lvl.b_self
-        assert rightmost_preimage(f, 0) == lvl.zmax_self
 
 
 # ------------------------------------------------------------ integer steps vs the Fraction oracle
@@ -542,7 +538,8 @@ def test_tower_matches_fraction_oracle(pair, t, j, data):
         assert eval_level(tower, j, x) == ref_tower.eval_level(ref, j, x), (j, x)
 
 
-def _time_in_fresh_interpreter(code: str) -> float:
+def _float_from_fresh_interpreter(code: str) -> float:
+    """The number that code prints, run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(knaster.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -551,10 +548,10 @@ def _time_in_fresh_interpreter(code: str) -> float:
 
 
 def test_deep_build_has_no_big_gcd():
-    # a step through tent_branch pays a gcd of two integers as long as the
-    # tracked preimages: about 7.7 s at depth 4000 on a 2-vCPU host, 0.25 s
-    # with every gcd on a small operand
-    elapsed = _time_in_fresh_interpreter(
+    # a step that reduces one Fraction from two integers as long as the
+    # tracked preimages pays their gcd: about 7.7 s at depth 4000 on a 2-vCPU
+    # host, 0.25 s with every gcd on a small operand
+    elapsed = _float_from_fresh_interpreter(
         "import time\n"
         "from knaster import SeqSpec, build_tower\n"
         "t0 = time.perf_counter()\n"
@@ -566,7 +563,7 @@ def test_deep_build_has_no_big_gcd():
 def test_deep_eval_has_no_big_gcd():
     # f_1500 on a const:1000 target: 0.37 s a point with a reduced Fraction
     # per level, about 3 ms with the integer descent and climb
-    elapsed = _time_in_fresh_interpreter(
+    elapsed = _float_from_fresh_interpreter(
         "import time\n"
         "from knaster import SeqSpec, build_tower, eval_level\n"
         "tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(1000), '1/3', 1500)\n"
@@ -576,3 +573,35 @@ def test_deep_eval_has_no_big_gcd():
         "    eval_level(tower, 1500, x)\n"
         "print((time.perf_counter() - t0) / len(points))\n")
     assert elapsed < 0.05, f"f_1500 took {elapsed:.3f} s a point"
+
+
+def test_deep_range_climbs_once():
+    # ranges at level 3000 on a const:1000 target: about 10 ms each on a
+    # 2-vCPU host with a reduced Fraction per level on the way up, about
+    # 0.2 ms with one unreduced climb
+    elapsed = _float_from_fresh_interpreter(
+        "import time\n"
+        "from fractions import Fraction as F\n"
+        "from knaster import SeqSpec, build_tower, level_range\n"
+        "tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(1000), '1/3', 3000)\n"
+        "lvl = tower.level(3000)\n"
+        "lo, hi = F(lvl.slot, 3000), F(lvl.slot + 1, 3000)\n"
+        "ranges = [(F(0), lo), (lo, hi), (hi, F(1)), (F(1, 3), F(1, 3) + F(1, 10 ** 6)),\n"
+        "          (F(1, 3) - F(1, 10 ** 9), F(1, 3))]\n"
+        "t0 = time.perf_counter()\n"
+        "for a, b in ranges:\n"
+        "    level_range(tower, 3000, a, b)\n"
+        "print((time.perf_counter() - t0) / len(ranges))\n")
+    assert elapsed < 0.002, f"a level-3000 range took {elapsed * 1000:.2f} ms"
+
+
+def test_tower_levels_keep_one_rational():
+    # traced size of a depth-1001 const:2 tower: 3.19 MiB when each level
+    # also kept its rightmost 0-preimage, 1.76 MiB with b_self alone
+    mib = _float_from_fresh_interpreter(
+        "import tracemalloc\n"
+        "from knaster import SeqSpec, build_tower\n"
+        "tracemalloc.start()\n"
+        "tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(2), '1/3', 1001)\n"
+        "print(tracemalloc.get_traced_memory()[0] / 2 ** 20)\n")
+    assert mib < 2.5, f"a depth-1001 tower holds {mib:.2f} MiB"
