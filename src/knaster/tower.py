@@ -9,15 +9,11 @@ Iterating the kernel with q = level index and i = slot_index(t, j) yields,
 for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
 lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
-one tracked preimage, its fold points follow by leg arithmetic, and
-evaluation descends the levels; an explicit f_j is built on request and
-kept by no one but the caller. No tower step takes a gcd of two long
-integers: queries descend and climb on integer numerators and build one
-Fraction at the end.
-Exact range queries descend too: only an interval's first branch holds its
-minimum and only its last its maximum, so each extreme follows one
-subinterval per level, and stops at a stretch holding a whole tent leg,
-where the level below, being onto, takes both 0 and 1.
+one tracked preimage, its fold points follow by leg arithmetic, and queries
+descend the levels; an explicit f_j is built on request and kept by no one
+but the caller. No tower step takes a gcd of two long integers. An exact
+range descends one subinterval per level for each extreme, on integer
+numerators, and a value f_j(x) is the extreme over the point [x, x].
 """
 
 from __future__ import annotations
@@ -217,9 +213,17 @@ class Tower:
         return len(self.levels)
 
     def level(self, j: int) -> LevelData:
-        if not 1 <= j <= self.depth:
-            raise ValueError(f"level {j} not built (depth {self.depth})")
+        """The stored data of lift j, 1 <= j <= depth."""
+        _check_level(self, j)
+        if j == 0:
+            raise ValueError("level 0 is the identity, not a lift: it has no n, m or slot")
         return self.levels[j - 1]
+
+
+def _check_level(tower: Tower, j: int) -> None:
+    """f_j is defined for 0 <= j <= depth, f_0 being the identity."""
+    if not 0 <= j <= tower.depth:
+        raise ValueError(f"level {j} not built (depth {tower.depth})")
 
 
 def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) -> Tower:
@@ -260,36 +264,20 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
 
 
 def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
-    """f_j(x), computed by descending the levels (no materialization).
-
-    The descent keeps each x_i as X/D over x's own denominator D, one floor
-    per level, and picks each level's inverse branch of tent(m_i) by at most
-    one cross-multiplied compare. The climb applies them to an unreduced
-    Y/W, W = D*m_1*...*m_i, and reduces one Fraction at the end.
-    """
+    """f_j(x) without materializing: the range descent over the point [x, x],
+    one floor and at most one cross-multiplied compare a level."""
     x = as_rat(x)
     if not ZERO <= x <= ONE:
         raise ValueError(f"{x} outside [0, 1]")
-    if not 0 <= j <= tower.depth:
-        raise ValueError(f"level {j} not built (depth {tower.depth})")
-    X, D = x.numerator, x.denominator
-    branches = []
-    for i in range(j - 1, -1, -1):
-        lvl = tower.levels[i]
-        s = lvl.n * X
-        c = s // D
-        X = s - c * D if c % 2 == 0 else (c + 1) * D - s  # tent(n)(x) on leg c
-        b_prev = tower.levels[i - 1].b_self if i else ONE
-        branches.append((lvl.m, _branch(lvl, b_prev, c, X, D)))
-    return _climb(branches, X, D)
+    _check_level(tower, j)
+    return _extreme(tower, j, x, x, False)
 
 
 def materialize_level(tower: Tower, j: int, lap_budget: int = DEFAULT_LAP_BUDGET) -> PLMap:
     """Explicit canonical PLMap equal to f_j; refuses when n_1*...*n_j > budget.
 
     Each call lifts f_0 = identity up to level j and keeps nothing."""
-    if not 0 <= j <= tower.depth:
-        raise ValueError(f"level {j} not built (depth {tower.depth})")
+    _check_level(tower, j)
     estimate = tower.grouped.prefix_product(j)
     if estimate > lap_budget:
         raise LapBudgetError(
@@ -314,8 +302,7 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     lo, hi = as_rat(lo), as_rat(hi)
     if not ZERO <= lo <= hi <= ONE:
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    if not 0 <= j <= tower.depth:
-        raise ValueError(f"level {j} not built (depth {tower.depth})")
+    _check_level(tower, j)
     return _extreme(tower, j, lo, hi, False), _extreme(tower, j, lo, hi, True)
 
 
@@ -325,38 +312,51 @@ def _switch(lvl: LevelData, b_prev: Fraction, lam: int) -> Fraction:
     return tent_branch(lvl.n, lvl.k + lam, b_prev if lam % 2 else ZERO)
 
 
+def _tent_at(n: int, X: int, D: int) -> tuple[int, int]:
+    """(c, U): the tent leg c = floor(n*X/D) and tent(n)(X/D) = U/D."""
+    s = n * X
+    c = s // D
+    return c, s - c * D if c % 2 == 0 else (c + 1) * D - s
+
+
 def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fraction:
-    """The minimum (top false) or maximum (top true) of f_j over [lo, hi]."""
+    """The minimum (top false) or maximum (top true) of f_j over [lo, hi].
+
+    Each end descends as an integer numerator over its own denominator. The
+    near end X/D (hi for a maximum) picks the branch; the far end Y/E is cut
+    to that branch's switch point only when it lies on another branch."""
+    near, far = (hi, lo) if top else (lo, hi)
+    X, D, Y, E = near.numerator, near.denominator, far.numerator, far.denominator
+    point = lo == hi
+    levels = tower.levels
     branches = []
-    for level in range(j, 0, -1):
-        lvl = tower.levels[level - 1]
-        b_prev = tower.levels[level - 2].b_self if level > 1 else ONE
-        n = lvl.n
-        # cut [lo, hi] to its last piece (max) or its first piece (min)
-        x = hi if top else lo
-        u = wave_eval(n * x)
-        lam = _branch(lvl, b_prev, math.floor(n * x), u.numerator, u.denominator)
-        if top and lam > 0:
-            lo = max(lo, _switch(lvl, b_prev, lam))
-        elif not top and lam + 1 < lvl.m:
-            hi = min(hi, _switch(lvl, b_prev, lam + 1))
+    for i in range(j - 1, -1, -1):
+        lvl = levels[i]
+        b_prev = levels[i - 1].b_self if i else ONE
+        # the near end's tent step, inline: through _tent_at a point runs ~10% slower
+        s = lvl.n * X
+        c = s // D
+        X = s - c * D if c % 2 == 0 else (c + 1) * D - s
+        lam = _branch(lvl, b_prev, c, X, D)
         branches.append((lvl.m, lam))
+        if point:
+            continue
+        d, V = _tent_at(lvl.n, Y, E)
+        if _branch(lvl, b_prev, d, V, E) != lam:
+            t = _switch(lvl, b_prev, lam if top else lam + 1)
+            Y, E = t.numerator, t.denominator
+            d, V = _tent_at(lvl.n, Y, E)
+        # the tent folds c/n inside the interval: ceil(n*lo) <= c <= floor(n*hi)
+        c_lo, c_hi = (-(-lvl.n * Y // E), c) if top else (-(-s // D), d)
         top ^= lam % 2 == 1  # a falling branch turns f_{j-1}'s max into f_j's min
-        c_lo, c_hi = math.ceil(n * lo), math.floor(n * hi)
         if c_hi > c_lo:
             # [c_lo/n, (c_lo+1)/n] lies inside: f_{j-1} is onto, so takes 0 and 1
-            y = ONE if top else ZERO
-            break
-        lo, hi = sorted((wave_eval(n * lo), wave_eval(n * hi)))
-        if c_hi == c_lo:
-            # one fold c_lo/n inside, where the wave turns at 0 (even) or 1 (odd)
-            if c_lo % 2 == 0:
-                lo = ZERO
-            else:
-                hi = ONE
-    else:
-        y = hi if top else lo  # level 0 is the identity
-    return _climb(branches, y.numerator, y.denominator)
+            return _climb(branches, int(top), 1)
+        lo_end, hi_end = ((X, D), (V, E)) if X * E <= V * D else ((V, E), (X, D))
+        if c_hi == c_lo:  # one fold c_lo/n inside: the wave turns at 0 (even) or 1 (odd)
+            lo_end, hi_end = ((0, 1), hi_end) if c_lo % 2 == 0 else (lo_end, (1, 1))
+        (X, D), (Y, E) = (hi_end, lo_end) if top else (lo_end, hi_end)
+    return _climb(branches, X, D)  # level 0 is the identity
 
 
 def commutes_pointwise(tower: Tower, j: int, x: RatLike) -> bool:

@@ -306,7 +306,9 @@ def test_level_range_deep_differential(target, t, j, data):
     point = st.one_of(st.sampled_from(special),
                       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6))
     a = data.draw(point)
-    b = data.draw(st.one_of(st.just(a), point))
+    # [a, a + 10**-9] widens n_j-fold a level, so both integer ends descend
+    # several levels (about 4.5 on average) before a whole tent leg lies inside
+    b = data.draw(st.one_of(st.just(a), point, st.just(min(a + F(1, 10 ** 9), F(1)))))
     a, b = min(a, b), max(a, b)
     assert level_range(tower, j, a, b) == ref_range.level_range(tower, j, a, b)
 
@@ -335,9 +337,9 @@ def test_level_range_deep_no_recursion_error():
 
 
 def test_level_conditions_every_level_depth_1000():
-    # about 0.8 s on a 2-vCPU host, 3.8 s when eval_level reduced a Fraction
-    # per level; a query that recursed over every tent fold needed 2.9 s for
-    # one range at depth 100
+    # about 0.5-0.6 s on a 2-vCPU host (0.6-0.65 s with ranges descending on
+    # Fractions), 3.8 s when eval_level reduced a Fraction per level; a query
+    # that recursed over every tent fold needed 2.9 s for one range at depth 100
     tower = build_tower(c2, c2, F(1, 3), 1000)
     t0 = time.perf_counter()
     for j in range(1, 1001):
@@ -481,6 +483,26 @@ def test_build_tower_validations():
         eval_level(tower, 1, F(7, 2))
 
 
+def test_level_index_errors():
+    # f_j exists for 0 <= j <= depth; f_0 is the identity, so only queries
+    # that need a lift's n, m or slot refuse level 0
+    tower = build_tower(c2, c2, F(1, 2), 2)
+    for j in (-1, 3):
+        for query in (lambda: eval_level(tower, j, F(1, 2)),
+                      lambda: level_range(tower, j, F(0), F(1)),
+                      lambda: materialize_level(tower, j),
+                      lambda: tower.level(j),
+                      lambda: commutes_pointwise(tower, j, F(1, 2)),
+                      lambda: check_level_conditions(tower, j)):
+            with pytest.raises(ValueError, match=rf"level {j} not built \(depth 2\)"):
+                query()
+    for query in (lambda: tower.level(0),
+                  lambda: commutes_pointwise(tower, 0, F(1, 2)),
+                  lambda: check_level_conditions(tower, 0)):
+        with pytest.raises(ValueError, match="level 0 is the identity, not a lift"):
+            query()
+
+
 def test_nonbinary_sequences():
     # towers over mixed sequences, conditions still exact
     raw = SeqSpec.periodic([3], [2, 5])
@@ -578,7 +600,7 @@ def test_deep_eval_has_no_big_gcd():
 def test_deep_range_climbs_once():
     # ranges at level 3000 on a const:1000 target: about 10 ms each on a
     # 2-vCPU host with a reduced Fraction per level on the way up, about
-    # 0.2 ms with one unreduced climb
+    # 0.2 ms with one unreduced climb, about 0.1 ms with integer ends
     elapsed = _float_from_fresh_interpreter(
         "import time\n"
         "from fractions import Fraction as F\n"
@@ -593,6 +615,25 @@ def test_deep_range_climbs_once():
         "    level_range(tower, 3000, a, b)\n"
         "print((time.perf_counter() - t0) / len(ranges))\n")
     assert elapsed < 0.002, f"a level-3000 range took {elapsed * 1000:.2f} ms"
+
+
+def test_deep_point_range_takes_one_step_a_level():
+    # a point never holds a whole tent leg, so it descends all 3000 levels:
+    # 0.31-0.34 s on a 2-vCPU host with Fraction ends and a switch point per
+    # level, about 0.03 s as the integer one-point case shared with eval_level
+    out = _float_from_fresh_interpreter(
+        "import time\n"
+        "from fractions import Fraction as F\n"
+        "from knaster import SeqSpec, build_tower, eval_level, level_range\n"
+        "tower = build_tower(SeqSpec.constant(2), SeqSpec.constant(1000), '1/3', 3000)\n"
+        "x = F(2, 7)\n"
+        "t0 = time.perf_counter()\n"
+        "r = level_range(tower, 3000, x, x)\n"
+        "elapsed = time.perf_counter() - t0\n"
+        "v = eval_level(tower, 3000, x)\n"
+        "print(elapsed if r == (v, v) else -1)\n")
+    assert out >= 0, "level_range(x, x) differs from (f(x), f(x))"
+    assert out < 0.1, f"a level-3000 point range took {out:.2f} s"
 
 
 def test_tower_levels_keep_one_rational():
