@@ -12,9 +12,9 @@ through two points and the point where two lines meet are both one
 integer cross product: evaluation meets a segment with a vertical line,
 composition and the preimage scans meet it with a horizontal one, and a
 breakpoint is merged away when it lies on the line through its
-neighbours. `compose` and the lift step `tent_lift` map triples to triples;
-Fractions appear only at the API boundary (`points`, `xs`, `__call__`,
-`range_on`, the preimages).
+neighbours. `compose` and the lift step `tent_lift`, which reads f0 tiled n
+times and never builds f0∘tent(n), map triples to triples; Fractions appear
+only at the API boundary (`points`, `xs`, `__call__`, `range_on`, the preimages).
 """
 
 from __future__ import annotations
@@ -205,15 +205,20 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
     return _from_triples(pts)
 
 
-def tent_lift(g: PLMap, m: int, switches: Iterable[Fraction]) -> PLMap:
-    """x -> tent_branch(m, c, g(x)), c the number of switches at or left of x;
-    the switches increase, and g is 0 or 1 at each (see `construct_lift`)."""
+def tent_lift(f0: PLMap, n: int, m: int, switches: Iterable[Fraction]) -> PLMap:
+    """x -> tent_branch(m, c, f0(tent(n)(x))), c the number of the increasing
+    switches at or left of x, where f0∘tent(n) is 0 or 1 (see `construct_lift`).
+    f0∘tent(n) is never built: each tent leg reads f0's triples, odd legs reversed."""
     sw = [(s.numerator, s.denominator) for s in switches]
-    pts, c = [], 0
-    for x, y, w in g._t:
-        while c < len(sw) and sw[c][0] * w <= x * sw[c][1]:
-            c += 1
-        pts.append(_reduce((m * x, (c + 1) * w - y if c % 2 else c * w + y, m * w)))
+    t, pts, c = f0._t, [], 0
+    walks = (t[1:], t[-2::-1])
+    for leg in range(n):
+        odd = leg % 2
+        for X, Y, W in walks[odd] if leg else t:
+            x, w, y = (leg + 1) * W - X if odd else leg * W + X, n * W, n * Y
+            while c < len(sw) and sw[c][0] * w <= x * sw[c][1]:
+                c += 1
+            pts.append(_reduce((m * x, (c + 1) * w - y if c % 2 else c * w + y, m * w)))
     return _from_triples(pts)
 
 

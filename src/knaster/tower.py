@@ -101,9 +101,10 @@ def construct_lift(spec: LiftSpec) -> PLMap:
     Deterministic choices: a and b are the leftmost preimages of 0 and 1
     under f0, and k is the least nonnegative integer with k/n >= i/q. Between
     fold points t_lam the lift is the lam-th inverse branch of tent(m) applied
-    to g = f0∘tent(n). The t_lam need no breakpoints of their own: g(t_lam) is
-    0 or 1, so t_lam is a breakpoint of g, given the value lam/m, or inside a
-    segment where g is constant 0 or 1, on which branches lam-1 and lam agree.
+    to g = f0∘tent(n), read by `tent_lift` off f0 tiled n times; g is never
+    built. The t_lam need no breakpoints of their own: g(t_lam) is 0 or 1, so
+    t_lam is a breakpoint of g, given the value lam/m, or inside a segment
+    where g is constant 0 or 1, on which branches lam-1 and lam agree.
     """
     spec.validate()
     a, b = leftmost_preimage(spec.f0, ZERO), leftmost_preimage(spec.f0, ONE)
@@ -111,7 +112,7 @@ def construct_lift(spec: LiftSpec) -> PLMap:
         raise ValueError("f0 must map [0, 1] onto itself")
     k = -(-spec.n * spec.i // spec.q)
     folds = _fold_points(spec.n, k, spec.m, a, b)
-    return tent_lift(compose(spec.f0, tent(spec.n)), spec.m, folds[1:spec.m])
+    return tent_lift(spec.f0, spec.n, spec.m, folds[1:spec.m])
 
 
 @dataclass(frozen=True)
@@ -297,13 +298,14 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     first piece and the maximum on the last, each the branch applied to an
     extreme of f_{j-1} over the piece's tent image: the same extreme where
     the branch rises (lam even), the other one where it falls. Each extreme
-    is one descent through single intervals, at most j steps at any depth.
+    is one descent through single intervals, at most j steps, one for a point.
     """
     lo, hi = as_rat(lo), as_rat(hi)
     if not ZERO <= lo <= hi <= ONE:
         raise ValueError(f"bad interval [{lo}, {hi}]")
     _check_level(tower, j)
-    return _extreme(tower, j, lo, hi, False), _extreme(tower, j, lo, hi, True)
+    low = _extreme(tower, j, lo, hi, False)
+    return low, low if lo == hi else _extreme(tower, j, lo, hi, True)
 
 
 def _switch(lvl: LevelData, b_prev: Fraction, lam: int) -> Fraction:

@@ -58,7 +58,7 @@ def _both(pts, m, n, q, i):
 @given(onto_points(), st.integers(1, 6), st.integers(1, 3), st.data())
 def test_lift_matches_reference(pts, m, q, data):
     i = data.draw(st.integers(0, q - 1))
-    n = (m + 2) * q + data.draw(st.integers(0, 3))  # (m+2)q <= n: the folds fit
+    n = (m + 2) * q + data.draw(st.integers(0, 40))  # (m+2)q <= n: the folds fit
     got, want = _both(pts, m, n, q, i)
     assert got.points == want.points
     assert repr(got) == repr(want)

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -336,6 +337,31 @@ def test_level_range_deep_no_recursion_error():
     assert level_range(tower, 1200, x, x) == (v, v)
 
 
+def test_level_range_point_descends_once(monkeypatch):
+    tower = build_tower(c2, c2, F(1, 3), 6)
+    extreme, calls = knaster.tower._extreme, []
+
+    def counted(*args):
+        calls.append(args)
+        return extreme(*args)
+
+    monkeypatch.setattr(knaster.tower, "_extreme", counted)
+    for j, x in ((6, F(2, 7)), (5, F(0)), (6, F(1)), (3, F(1, 3))):
+        v = eval_level(tower, j, x)
+        calls.clear()
+        assert level_range(tower, j, x, x) == (v, v)
+        assert len(calls) == 1, (j, x)
+    calls.clear()
+    assert level_range(tower, 6, F(1, 5), F(2, 5)) == ref_range.level_range(
+        tower, 6, F(1, 5), F(2, 5))
+    assert len(calls) == 2
+    # slot 0 = j - 1 at level 1: [0, 0] and [1, 1] are points, [0, 1] is not,
+    # and f_1(0) is one more descent
+    calls.clear()
+    assert check_level_conditions(build_tower(c2, c2, F(0), 1), 1).all_ok
+    assert len(calls) == 5
+
+
 def test_level_conditions_every_level_depth_1000():
     # about 0.5-0.6 s on a 2-vCPU host (0.6-0.65 s with ranges descending on
     # Fractions), 3.8 s when eval_level reduced a Fraction per level; a query
@@ -460,6 +486,20 @@ def test_materialize_level_keeps_nothing():
     assert attrs() == before
     fresh = {j: materialize_level(build_tower(c2, c2, F(1, 3), 4), j) for j in (3, 4)}
     assert maps == [fresh[4], fresh[3], fresh[4]]
+
+
+def test_materialize_level_holds_one_map():
+    # each lift reads f_3 tiled n_4 = 32 times, so no f_3∘tent(32) of the
+    # size of f_4 (56,800 breakpoints) is built beside it
+    tower = build_tower(c2, c2, F(1, 3), 4)
+    tracemalloc.start()
+    try:
+        f4 = materialize_level(tower, 4)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f4.xs) == 56800
+    assert peak < 1.5 * size, f"peak {peak} bytes for a map of {size} bytes"
 
 
 def test_materialize_desk_j2():
