@@ -127,7 +127,8 @@ def cmd_lift(args) -> int:
 
 
 def cmd_tower_build(args) -> int:
-    tower = build_tower(parse_seq(args.N), parse_seq(args.M), args.t, args.depth)
+    tower = build_tower(parse_seq(args.N), parse_seq(args.M), serialize.rat_from_str(args.t),
+                        args.depth)
     for lvl in tower.levels:
         print(f"level {lvl.j}: n={lvl.n} m={lvl.m} slot={lvl.slot} k={lvl.k}")
     _save(args.out, serialize.dumps(serialize.tower_to_obj(tower)))

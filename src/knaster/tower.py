@@ -8,12 +8,14 @@ the domain pinned near 0 (left of the window) or near 1 (right of it).
 Iterating the kernel with q = level index and i = slot_index(t, j) yields,
 for each rational parameter t, a tower of interval maps {f_j} commuting
 with the two bonding sequences. Towers are never materialized eagerly: the
-lap count of f_j grows like n_1*...*n_j, so a level stores four integers and
-one tracked preimage, its fold points follow by leg arithmetic, and queries
-descend the levels; an explicit f_j is built on request and kept by no one
-but the caller. No tower step takes a gcd of two long integers. An exact
+lap count of f_j grows like n_1*...*n_j, so a level stores integers only:
+n, m, slot, k and the numerator of its tracked preimage over n_1*...*n_j.
+Its fold points follow by leg arithmetic, and queries descend the levels;
+an explicit f_j is built on request and kept by no one but the caller. No
+build or descent step takes a gcd or does Fraction arithmetic. An exact
 range descends one subinterval per level for each extreme, on integer
-numerators, and a value f_j(x) is the extreme over the point [x, x].
+numerators, and reduces one Fraction at the end; a value f_j(x) is the
+extreme over the point [x, x].
 """
 
 from __future__ import annotations
@@ -155,31 +157,40 @@ def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
 
 @dataclass(frozen=True)
 class LevelData:
-    """One tower level. Its fold points t_lam = tent_branch(n, k + lam, 0 or
-    the level below's b_self) are derived, not stored; b_self tracks this
-    level's own leftmost 1-preimage, which the next level's fold points need,
-    so towers never have to materialize anything."""
+    """One tower level, all integers: n, m, slot, k, and its leftmost
+    1-preimage b_self as the unreduced b_num / b_den, b_den = n_1*...*n_j.
+    Its fold points t_lam = tent_branch(n, k + lam, 0 or the level below's
+    b_self) are derived, not stored, so towers never materialize anything."""
 
     j: int
     n: int
     m: int
     slot: int
     k: int
-    b_self: Fraction
+    b_num: int
+    b_den: int
+
+    @property
+    def b_self(self) -> Fraction:
+        """The leftmost 1-preimage, reduced; the tower itself reads b_num and b_den."""
+        return Fraction(self.b_num, self.b_den)
 
 
-def _branch(lvl: LevelData, b_prev: Fraction, c: int, U: int, D: int) -> int:
+def _branch(lvl: LevelData, below: LevelData | None, c: int, U: int, D: int) -> int:
     """Branch index of lvl (its switch points t_1..t_{m-1} at or left of x) at
     x on tent leg c = floor(n*x), U/D = tent(n)(x) with D > 0. t_lam lies on
-    leg k + lam and maps to 0 (lam even) or b_prev (lam odd), and tent(n)
-    rises on even legs, falls on odd ones, so only t_{c-k} needs a compare,
-    made by cross-multiplying."""
+    leg k + lam and maps to 0 (lam even) or to b_self of the level below (1
+    at level 1), and tent(n) rises on even legs, falls on odd ones, so only
+    t_{c-k} needs a compare, made by cross-multiplying."""
     d = c - lvl.k
     if d < 1:
         return 0
     if d >= lvl.m:
         return lvl.m - 1
-    lhs, rhs = (b_prev.numerator * D, U * b_prev.denominator) if d % 2 else (0, U)
+    if d % 2 == 0:
+        lhs, rhs = 0, U
+    else:
+        lhs, rhs = (below.b_num * D, U * below.b_den) if below else (D, U)
     return d if (lhs <= rhs if c % 2 == 0 else rhs <= lhs) else d - 1
 
 
@@ -195,9 +206,9 @@ def _climb(branches, Y: int, W: int) -> Fraction:
 class Tower:
     """The family {f_j} for fixed (raw source sequence, target sequence, t).
 
-    Levels hold four integers and one rational each. Evaluation and range
-    queries are lazy and cache nothing; materialization is opt-in, guarded
-    by an explicit lap budget, and caches nothing either.
+    Levels hold integers only. Evaluation and range queries are lazy and
+    cache nothing; materialization is opt-in, guarded by an explicit lap
+    budget, and caches nothing either.
     Construction is sequential, evaluation afterwards is pure.
     """
 
@@ -230,7 +241,9 @@ def _check_level(tower: Tower, j: int) -> None:
 def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) -> Tower:
     """Build level data for f_1..f_depth over the regrouped source sequence.
 
-    A level costs one integer floor for its slot and two `tent_branch` steps.
+    A level costs one integer floor for its slot, one multiply and two
+    multiply-adds: its leftmost 1-preimage B and rightmost 0-preimage Z are
+    numerators over P = n_1*...*n_j, which no step reduces.
     """
     t = as_rat(t)
     if not ZERO <= t <= ONE:
@@ -239,7 +252,7 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         raise ValueError("depth must be >= 0")
     grouped = regroup(raw_source, target, depth)
     levels = []
-    b_prev, z_prev = ONE, ZERO
+    B, Z, P = 1, 0, 1  # level 0, the identity: b = 1, z = 0
     t_num, t_den = t.numerator, t.denominator
     for j in range(1, depth + 1):
         n, m = grouped.nth(j), target.nth(j)
@@ -249,18 +262,19 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         k = -(-n * slot // j)
         # Where this level's map first reaches 1: past fold t_{m-1}, on leg c,
         # the map is the top branch, so it reaches 1 where the previous map
-        # next hits 1 (m odd: on the first even leg from c) or 0 (m even: at
-        # its rightmost zero, on the first odd leg from c).
+        # next hits 1 (m odd: (e + b)/n on the first even leg e from c) or 0
+        # (m even: at its rightmost zero, (o + 1 - z)/n on the first odd leg
+        # o from c), b and z being that map's preimages, here over P.
         c = k + m - 1
         if m % 2 == 1:
-            b_self = tent_branch(n, c + c % 2, b_prev)
+            B = (c + c % 2) * P + B
         else:
-            b_self = tent_branch(n, c + 1 - c % 2, z_prev)
+            B = (c + 2 - c % 2) * P - Z
         # Zeros live left of t_1 only; the rightmost one mirrors the previous
         # level's rightmost zero through the first even leg from k.
-        z_prev = tent_branch(n, k + k % 2, z_prev)
-        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self))
-        b_prev = b_self
+        Z = (k + k % 2) * P + Z
+        P *= n
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_num=B, b_den=P))
     return Tower(raw_source, target, t, grouped, levels)
 
 
@@ -308,10 +322,13 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
     return low, low if lo == hi else _extreme(tower, j, lo, hi, True)
 
 
-def _switch(lvl: LevelData, b_prev: Fraction, lam: int) -> Fraction:
-    """Switch point t_lam of lvl: on tent leg k + lam, where tent(n) maps it
-    to 0 (lam even) or to b_prev, the level below's leftmost 1-preimage."""
-    return tent_branch(lvl.n, lvl.k + lam, b_prev if lam % 2 else ZERO)
+def _switch(lvl: LevelData, below: LevelData | None, lam: int) -> tuple[int, int]:
+    """Switch point t_lam of lvl as an unreduced (numerator, denominator): on
+    tent leg k + lam, where tent(n) maps it to 0 (lam even) or to b_self of
+    the level below (1 at level 1)."""
+    c = lvl.k + lam
+    y, w = (below.b_num, below.b_den) if lam % 2 and below else (lam % 2, 1)
+    return (c * w + y if c % 2 == 0 else (c + 1) * w - y), lvl.n * w
 
 
 def _tent_at(n: int, X: int, D: int) -> tuple[int, int]:
@@ -334,19 +351,18 @@ def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fra
     branches = []
     for i in range(j - 1, -1, -1):
         lvl = levels[i]
-        b_prev = levels[i - 1].b_self if i else ONE
+        below = levels[i - 1] if i else None
         # the near end's tent step, inline: through _tent_at a point runs ~10% slower
         s = lvl.n * X
         c = s // D
         X = s - c * D if c % 2 == 0 else (c + 1) * D - s
-        lam = _branch(lvl, b_prev, c, X, D)
+        lam = _branch(lvl, below, c, X, D)
         branches.append((lvl.m, lam))
         if point:
             continue
         d, V = _tent_at(lvl.n, Y, E)
-        if _branch(lvl, b_prev, d, V, E) != lam:
-            t = _switch(lvl, b_prev, lam if top else lam + 1)
-            Y, E = t.numerator, t.denominator
+        if _branch(lvl, below, d, V, E) != lam:
+            Y, E = _switch(lvl, below, lam if top else lam + 1)
             d, V = _tent_at(lvl.n, Y, E)
         # the tent folds c/n inside the interval: ceil(n*lo) <= c <= floor(n*hi)
         c_lo, c_hi = (-(-lvl.n * Y // E), c) if top else (-(-s // D), d)

@@ -4,9 +4,10 @@ These are the Fraction-step versions that preceded the integer descent and
 climb, kept as the oracle for the tower differentials in `test_tower.py`.
 Every tower step goes through `_tent_branch`, which builds a reduced
 Fraction from two integers as long as the step's value, so each level pays
-a gcd that grows with depth; the library's `tent_branch` takes another
-arithmetic path, so the `b_self` differential compares two. The slot comes
-from `slot_index`, and the branch choice is a Fraction compare.
+a gcd that grows with depth; the library keeps unreduced integer
+numerators over n_1*...*n_j instead, so the `b_self` differential compares
+two arithmetic paths. The slot comes from `slot_index`, and the branch
+choice is a Fraction compare.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         else:
             b_self = _tent_branch(n, c + 1 - c % 2, z_prev)
         z_prev = _tent_branch(n, k + k % 2, z_prev)
-        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k, b_self=b_self))
+        levels.append(LevelData(j=j, n=n, m=m, slot=slot, k=k,
+                                b_num=b_self.numerator, b_den=b_self.denominator))
         b_prev = b_self
     return Tower(raw_source, target, t, grouped, levels)
 

@@ -251,9 +251,9 @@ def test_criterion_10_performance():
     per_point = (time.monotonic() - eval_start) / len(points)
     assert per_point < 0.1, f"eval at j=100 took {per_point * 1000:.1f} ms/point"
 
-    # memory stays O(depth): six scalars per level, nothing materialized
+    # memory stays O(depth): seven integers per level, nothing materialized
     fields = [f.name for f in dataclasses.fields(LevelData)]
-    assert fields == ["j", "n", "m", "slot", "k", "b_self"]
+    assert fields == ["j", "n", "m", "slot", "k", "b_num", "b_den"]
     assert all(isinstance(getattr(lvl, name), (int, F))
                for lvl in tower.levels for name in fields)
     assert set(vars(tower)) == {"raw_source", "target", "t", "grouped", "levels"}

@@ -108,6 +108,17 @@ def test_tower_eval_output(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+def test_tower_build_rejects_loose_t(tmp_path, capsys):
+    # --t parses as strictly as --x and every file: lowest terms, no zero
+    # denominator, no decimal point or exponent
+    out = tmp_path / "t.json"
+    for t in ("1/0", "0.5", "2/4", "1e-5"):
+        assert run("tower", "build", "--N", "const:2", "--M", "const:2",
+                   "--t", t, "--depth", "1", "--out", str(out)) == 2, t
+        assert f"rational {t!r}" in capsys.readouterr().err, t
+    assert not out.exists()
+
+
 def test_tower_round_trip_at_depth_1300(tmp_path, capsys):
     # a level's fold rationals outgrow int-to-str's 4300-digit limit before
     # depth 1300, so only a file without them can be written at that depth

@@ -385,7 +385,7 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
     tower = build_tower(parse_seq(pair[0]), parse_seq(pair[1]), t, 5)
     rng = random.Random(f"{pair} {t}")
     eps = F(1, 10 ** 9)
-    b_prev = F(1)
+    b_prev, below = F(1), None
     for lvl in tower.levels:
         n = lvl.n
         folds = ref_range.fold_points(lvl, b_prev)
@@ -395,14 +395,14 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
         points += [x + d for x in folds for d in (-eps, eps) if 0 <= x + d <= 1]
         for x in points:
             u = wave_eval(n * x)
-            lam = _branch(lvl, b_prev, math.floor(n * x), u.numerator, u.denominator)
+            lam = _branch(lvl, below, math.floor(n * x), u.numerator, u.denominator)
             assert lam == bisect_right(bounds, x), (lvl.j, x)
         pairs = [(x, x) for x in points] + [sorted(rng.sample(points, 2)) for _ in range(300)]
         pairs += [(lo, hi) for lo in folds for hi in folds if lo <= hi]
         for lo, hi in pairs:
             assert level_range(tower, lvl.j, lo, hi) == \
                 ref_range.level_range(tower, lvl.j, lo, hi), (lvl.j, lo, hi)
-        b_prev = lvl.b_self
+        b_prev, below = lvl.b_self, lvl
 
 
 def test_leg_pairs_cover_targets_and_parities():
@@ -569,10 +569,18 @@ ORACLE_DEPTH = 300
 
 @lru_cache(maxsize=None)
 def oracle_towers(pair, t):
-    """The same depth-300 tower from build_tower and from the oracle."""
+    """The same depth-300 tower from build_tower and from the oracle, their
+    levels compared once."""
     raw, target = parse_seq(pair[0]), parse_seq(pair[1])
-    return (build_tower(raw, target, t, ORACLE_DEPTH),
-            ref_tower.build_tower(raw, target, t, ORACLE_DEPTH))
+    tower = build_tower(raw, target, t, ORACLE_DEPTH)
+    ref = ref_tower.build_tower(raw, target, t, ORACLE_DEPTH)
+    fields = ("j", "n", "m", "slot", "k", "b_self")
+    assert [tuple(getattr(lvl, f) for f in fields) for lvl in tower.levels] == \
+        [tuple(getattr(lvl, f) for f in fields) for lvl in ref.levels]
+    # the tracked preimage is kept unreduced over n_1*...*n_j
+    for lvl in tower.levels:
+        assert lvl.b_den == tower.grouped.prefix_product(lvl.j), lvl.j
+    return tower, ref
 
 
 prime_t = st.builds(lambda p, a: F(a % (p + 1), p),
@@ -585,19 +593,52 @@ prime_t = st.builds(lambda p, a: F(a % (p + 1), p),
        st.integers(min_value=0, max_value=ORACLE_DEPTH), st.data())
 def test_tower_matches_fraction_oracle(pair, t, j, data):
     tower, ref = oracle_towers(pair, t)
-    assert tower.levels == ref.levels
     # points: 0 and 1, tent folds c/n_j, switch points t_lam, random rationals
     special = [F(0), F(1)]
     if j:
         lvl = tower.level(j)
-        b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
+        below = tower.level(j - 1) if j > 1 else None
         special += [F(data.draw(st.integers(0, lvl.n)), lvl.n),
-                    *(_switch(lvl, b_prev, lam) for lam in range(min(lvl.m, 4)))]
-        special.append(_switch(lvl, b_prev, lvl.m - 1))
+                    *(F(*_switch(lvl, below, lam)) for lam in range(min(lvl.m, 4)))]
+        special.append(F(*_switch(lvl, below, lvl.m - 1)))
     point = st.one_of(st.sampled_from(special),
                       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9))
     for x in data.draw(st.lists(point, min_size=1, max_size=4)):
         assert eval_level(tower, j, x) == ref_tower.eval_level(ref, j, x), (j, x)
+
+
+FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__")
+
+
+@pytest.mark.parametrize("pair", (("const:2", "const:2"), ("periodic:3|2,5", "periodic:2|2,3")))
+def test_tower_does_no_fraction_arithmetic(pair, monkeypatch):
+    # building level by level through Fraction steps made about 4 operator
+    # calls a level; the integer build and descent make none
+    raw, target = parse_seq(pair[0]), parse_seq(pair[1])
+    tower = build_tower(raw, target, F(1, 3), 200)
+    eps = F(1, 10 ** 12)
+    queries = []  # switch points, and intervals around, ending and starting on them
+    for j in (1, 2, 3, 50, 200):
+        lvl = tower.level(j)
+        below = tower.level(j - 1) if j > 1 else None
+        for lam in range(1, lvl.m):
+            x = F(*_switch(lvl, below, lam))
+            queries += [(j, x, x), (j, x - eps, x + eps), (j, F(0), x), (j, x, F(1))]
+    calls, switches = [], []
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(F, name, lambda *args, _op=getattr(F, name), _name=name:
+                            calls.append(_name) or _op(*args))
+    switch = knaster.tower._switch
+    monkeypatch.setattr(knaster.tower, "_switch",
+                        lambda *args: switches.append(args) or switch(*args))
+    built = build_tower(raw, target, F(1, 3), 200)
+    ranges = [level_range(tower, j, lo, hi) for j, lo, hi in queries]
+    monkeypatch.undo()
+    assert calls == []
+    assert switches, "no interval was cut at a switch point"
+    assert built.levels == tower.levels
+    assert ranges == [ref_range.level_range(tower, j, lo, hi) for j, lo, hi in queries]
 
 
 def _float_from_fresh_interpreter(code: str) -> float:
@@ -678,7 +719,8 @@ def test_deep_point_range_takes_one_step_a_level():
 
 def test_tower_levels_keep_one_rational():
     # traced size of a depth-1001 const:2 tower: 3.19 MiB when each level
-    # also kept its rightmost 0-preimage, 1.76 MiB with b_self alone
+    # also kept its rightmost 0-preimage, 1.76 MiB with a reduced Fraction
+    # b_self alone, 1.72 MiB with its numerator over n_1*...*n_j
     mib = _float_from_fresh_interpreter(
         "import tracemalloc\n"
         "from knaster import SeqSpec, build_tower\n"
