@@ -15,6 +15,8 @@ breakpoint is merged away when it lies on the line through its
 neighbours. `compose` and the lift step `tent_lift`, which reads f0 tiled n
 times and never builds f0∘tent(n), map triples to triples; Fractions appear
 only at the API boundary (`points`, `xs`, `__call__`, `range_on`, the preimages).
+The JSON writer and the SVG renderer read `triples`, and the JSON reader hands
+integer ratios to `from_ratios`, so neither builds a Fraction per breakpoint.
 """
 
 from __future__ import annotations
@@ -91,6 +93,28 @@ def _merge(t) -> tuple:
     return tuple(merged)
 
 
+def _triple(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
+    """The reduced triple of (xn/xd, yn/yd), both in lowest terms with
+    positive denominators: over the lcm of the denominators it is reduced."""
+    w = math.lcm(xd, yd)
+    return (xn * (w // xd), yn * (w // yd), w)
+
+
+def _checked(t: list) -> tuple:
+    """The merged triples of t, after checking that they are a map [0, 1] -> [0, 1]."""
+    if len(t) < 2:
+        raise ValueError("a map needs at least two breakpoints")
+    if t[0][0] != 0 or t[-1][0] != t[-1][2]:
+        raise ValueError("breakpoints must start at x=0 and end at x=1")
+    for i, (x, y, w) in enumerate(t):
+        if i and x * t[i - 1][2] <= t[i - 1][0] * w:
+            raise ValueError(
+                f"x-coordinates must increase strictly (at x = {Fraction(x, w)})")
+        if not 0 <= y <= w:
+            raise ValueError(f"value {Fraction(y, w)} outside [0, 1]")
+    return _merge(t)
+
+
 class PLMap:
     """A continuous piecewise-linear map [0, 1] -> [0, 1] in canonical form.
 
@@ -106,22 +130,22 @@ class PLMap:
         t = []
         for x, y in points:
             x, y = as_rat(x), as_rat(y)
-            # both in lowest terms, so over the lcm of their denominators
-            # the triple is reduced
-            w = math.lcm(x.denominator, y.denominator)
-            t.append((x.numerator * (w // x.denominator),
-                      y.numerator * (w // y.denominator), w))
-        if len(t) < 2:
-            raise ValueError("a map needs at least two breakpoints")
-        if t[0][0] != 0 or t[-1][0] != t[-1][2]:
-            raise ValueError("breakpoints must start at x=0 and end at x=1")
-        for i, (x, y, w) in enumerate(t):
-            if i and x * t[i - 1][2] <= t[i - 1][0] * w:
-                raise ValueError(
-                    f"x-coordinates must increase strictly (at x = {Fraction(x, w)})")
-            if not 0 <= y <= w:
-                raise ValueError(f"value {Fraction(y, w)} outside [0, 1]")
-        self._t = _merge(t)
+            t.append(_triple(x.numerator, x.denominator, y.numerator, y.denominator))
+        self._t = _checked(t)
+
+    @classmethod
+    def from_ratios(cls, pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]]) -> PLMap:
+        """The map through ((xn, xd), (yn, yd)) pairs, each ratio an integer
+        pair in lowest terms with a positive denominator, checked as by the
+        constructor but with no Fraction built."""
+        f = object.__new__(cls)
+        f._t = _checked([_triple(xn, xd, yn, yd) for (xn, xd), (yn, yd) in pairs])
+        return f
+
+    @property
+    def triples(self) -> tuple[tuple[int, int, int], ...]:
+        """The breakpoints as the stored reduced (X, Y, W), x = X/W and y = Y/W."""
+        return self._t
 
     @property
     def points(self) -> tuple[tuple[Fraction, Fraction], ...]:

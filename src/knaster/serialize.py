@@ -6,6 +6,10 @@ denominator of 1, negative zero, zero or negative denominators, leading
 zeros and any other junk are rejected, as are out-of-range values wherever
 the carrying structure constrains them.
 Integers are JSON integers; floats, strings and booleans are rejected.
+A map is written from its integer triples (X, Y, W) and read back as integer
+ratios, so neither direction builds a Fraction per breakpoint; a file that
+is not a map object holding a list of [x, y] breakpoints is rejected with a
+message naming what is wrong.
 A tower file holds only its inputs: the sequences, t, the depth and, per
 level, the integers n, m, slot and k, which the loader checks against
 the tower it rebuilds.
@@ -14,6 +18,7 @@ the tower it rebuilds.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -48,28 +53,39 @@ def _digits_to_int(digits: str) -> int:
         return _digits_to_int(digits[:-half]) * 10 ** half + _digits_to_int(digits[-half:])
 
 
+def _ratio_str(p: int, q: int) -> str:
+    """The wire form of p/q, q > 0: reduced, and "p" alone when q divides p."""
+    g = math.gcd(p, q)
+    if g == q:
+        return _int_to_str(p // q)
+    return f"{_int_to_str(p // g)}/{_int_to_str(q // g)}"
+
+
 def rat_to_str(x: Fraction) -> str:
     x = as_rat(x)
-    if x.denominator == 1:
-        return _int_to_str(x.numerator)
-    return f"{_int_to_str(x.numerator)}/{_int_to_str(x.denominator)}"
+    return _ratio_str(x.numerator, x.denominator)
 
 
-def rat_from_str(text: str) -> Fraction:
+def _rat_parts(text: str) -> tuple[int, int]:
+    """The (numerator, denominator) of a wire rational, in lowest terms,
+    denominator positive; anything but the canonical spelling is rejected."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     match = _RAT_RE.match(text)
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
     sign, digits, den_digits = match.groups()
-    num = -_digits_to_int(digits) if sign else _digits_to_int(digits)
     if den_digits == "1" or (sign and digits == "0"):
         raise ValueError(f"non-canonical rational {text!r}")
-    den = _digits_to_int(den_digits or "1")
-    value = Fraction(num, den)
-    if value.denominator != den:
+    num = _digits_to_int(digits)
+    den = _digits_to_int(den_digits) if den_digits else 1
+    if math.gcd(num, den) != 1:
         raise ValueError(f"rational {text!r} is not in lowest terms")
-    return value
+    return (-num if sign else num), den
+
+
+def rat_from_str(text: str) -> Fraction:
+    return Fraction(*_rat_parts(text))
 
 
 def _unit_rat_from_str(text: str) -> Fraction:
@@ -97,14 +113,20 @@ def _require_ints(obj, key: str) -> list[int]:
 # ---------------------------------------------------------------- PLMap
 
 def plmap_to_obj(f: PLMap) -> dict:
-    return {"breakpoints": [[rat_to_str(x), rat_to_str(y)] for x, y in f.points]}
+    return {"breakpoints": [[_ratio_str(x, w), _ratio_str(y, w)] for x, y, w in f.triples]}
+
+
+def _breakpoint_parts(i: int, point) -> tuple[tuple[int, int], tuple[int, int]]:
+    if not isinstance(point, list) or len(point) != 2:
+        raise ValueError(f"breakpoint {i} is not a two-element list [x, y]")
+    return _rat_parts(point[0]), _rat_parts(point[1])
 
 
 def plmap_from_obj(obj: dict) -> PLMap:
-    pts = obj["breakpoints"]
+    pts = obj.get("breakpoints") if isinstance(obj, dict) else None
     if not isinstance(pts, list):
-        raise ValueError("breakpoints must be a list")
-    return PLMap((rat_from_str(x), rat_from_str(y)) for x, y in pts)  # PLMap checks ranges
+        raise ValueError("not a map: expected a JSON object with a 'breakpoints' list")
+    return PLMap.from_ratios(_breakpoint_parts(i, p) for i, p in enumerate(pts))  # checks ranges
 
 
 # --------------------------------------------------------------- SeqSpec

@@ -1,16 +1,16 @@
 """Deterministic SVG rendering of piecewise-linear maps.
 
 Each map gets its own unit-square panel (laid out left to right), one
-polyline per map with exactly one point per breakpoint. Rationals are kept
-exact until the final coordinate emission, where they are quantized to two
-decimals by integer rounding (ties to even); identical inputs therefore
-produce byte-identical output.
+polyline per map with exactly one point per breakpoint. Each coordinate is
+computed from the map's integer triples (X, Y, W) as one exact integer
+ratio, with no Fraction built, and quantized to two decimals by integer
+rounding (ties to even); identical inputs therefore produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from xml.sax.saxutils import escape
 
 from .plmap import PLMap
@@ -61,8 +61,7 @@ def render_svg(spec: PlotSpec) -> str:
     if wc <= 0 or panel_h <= 0:
         raise ValueError("plot dimensions too small for the panel layout")
 
-    def py(y: Fraction) -> str:
-        return _dec((_MARGIN + panel_h) * y.denominator - panel_h * y.numerator, y.denominator)
+    bottom = _MARGIN + panel_h  # the pixel row of y = 0
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -73,24 +72,24 @@ def render_svg(spec: PlotSpec) -> str:
     for idx, (f, label) in enumerate(spec.maps):
         left = _MARGIN * count + idx * (wc + _GAP * count)
 
-        def px(x: Fraction) -> str:
-            return _dec(left * x.denominator + wc * x.numerator, count * x.denominator)
-
         lines.append(
             f'<rect x="{_dec(left, count)}" y="{_dec(_MARGIN, 1)}" width="{_dec(wc, count)}" '
             f'height="{_dec(panel_h, 1)}" fill="none" stroke="#444444" stroke-width="1"/>')
         if spec.grid is not None:
             for k in range(1, spec.grid):
-                gx = px(Fraction(k, spec.grid))
+                gx = _dec(left * spec.grid + wc * k, count * spec.grid)
                 lines.append(
-                    f'<line x1="{gx}" y1="{py(Fraction(1))}" x2="{gx}" '
-                    f'y2="{py(Fraction(0))}" stroke="#cccccc" stroke-width="0.5"/>')
+                    f'<line x1="{gx}" y1="{_dec(_MARGIN, 1)}" x2="{gx}" '
+                    f'y2="{_dec(bottom, 1)}" stroke="#cccccc" stroke-width="0.5"/>')
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(x)},{py(y)}" for x, y in f.points)
+        # the breakpoint (x/w, y/w) is drawn at (left + wc*x/w)/count, bottom - panel_h*y/w
+        points = " ".join(
+            f"{_dec(left * w + wc * x, count * w)},{_dec(bottom * w - panel_h * y, w)}"
+            for x, y, w in f.triples)
         lines.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         label_x = _dec(2 * left + wc, 2 * count)
-        label_y = _dec(_MARGIN + panel_h + _LABEL_H - 4, 1)
+        label_y = _dec(bottom + _LABEL_H - 4, 1)
         lines.append(
             f'<text x="{label_x}" y="{label_y}" font-family="monospace" font-size="12" '
             f'text-anchor="middle">{escape(label)}</text>')

@@ -179,8 +179,9 @@ def test_plot_grid_and_thread_fan_capped_by_lap_budget(tmp_path, monkeypatch, ca
 
 
 def test_breakpoint_counts_build_points_once(tmp_path, monkeypatch, capsys):
-    # the count comes from the written object, so each map's Fraction
-    # breakpoints are built once, for the file
+    # the count comes from the written object, and writing, reading and
+    # plotting a map read its integer triples, so no Fraction breakpoints
+    # are built at all
     tower_path = tmp_path / "tower.json"
     assert run("tower", "build", "--N", "const:2", "--M", "const:2",
                "--t", "1/3", "--depth", "2", "--out", str(tower_path)) == 0
@@ -191,7 +192,9 @@ def test_breakpoint_counts_build_points_once(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path / "f1.json")) == 0
     assert run("tower", "materialize", "--tower", str(tower_path), "--level", "2",
                "--out", str(tmp_path / "f2.json")) == 0
-    assert len(built) == 2
+    assert run("plot", "--maps", f"{tmp_path / 'f1.json'},{tmp_path / 'f2.json'},tent:3",
+               "--grid", "3", "--out", str(tmp_path / "f.svg")) == 0
+    assert len(built) == 0
     out = capsys.readouterr().out
     assert "(6 breakpoints, lap 5)" in out
     f2 = plmap_from_obj(json.loads((tmp_path / "f2.json").read_text()))
@@ -420,6 +423,29 @@ def test_plot_rejects_bad_input(tmp_path):
         (tmp_path / name).write_text(dumps({"breakpoints": pts}))
         assert run("plot", "--maps", str(tmp_path / name),
                    "--out", str(tmp_path / "z.svg")) == 2
+
+
+def test_wrong_kind_map_file_names_the_problem(tmp_path, capsys):
+    tower_path = tmp_path / "tower.json"
+    assert run("tower", "build", "--N", "const:2", "--M", "const:2",
+               "--t", "1/3", "--depth", "1", "--out", str(tower_path)) == 0
+    cases = [
+        (tower_path.read_text(), "not a map: expected a JSON object with a 'breakpoints' list"),
+        ([["0", "0"], ["1", "1"]], "not a map: expected a JSON object with a 'breakpoints' list"),
+        ({"breakpoints": [["0", "0"], ["1/2", "1", "0"], ["1", "1"]]},
+         "breakpoint 1 is not a two-element list [x, y]"),
+        ({"breakpoints": [["0", "0"], "1/2", ["1", "1"]]},
+         "breakpoint 1 is not a two-element list [x, y]"),
+    ]
+    bad = tmp_path / "bad.json"
+    for content, message in cases:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
+        capsys.readouterr()
+        assert run("plot", "--maps", str(bad), "--out", str(tmp_path / "x.svg")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert run("lift", "--m", "3", "--n", "7", "--q", "1", "--i", "0", "--f0", str(bad)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_missing_file_is_usage_error(tmp_path):

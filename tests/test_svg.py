@@ -1,3 +1,4 @@
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
@@ -76,3 +77,19 @@ def test_render_matches_fraction_path_on_level_3():
     f3 = materialize_level(build_tower(c2, c2, F(1, 3), 3), 3)
     spec = PlotSpec(maps=((f3, "f3"), (tent(8), "g8")), grid=8)
     assert render_svg(spec) == ref_svg.render_svg(spec)
+
+
+def test_render_level_4_holds_no_fraction_copy():
+    # the polyline reads the map's integer triples; what is held is the
+    # point strings and the document itself
+    c2 = SeqSpec.constant(2)
+    f4 = materialize_level(build_tower(c2, c2, F(1, 3), 4), 4)
+    spec = PlotSpec(maps=((f4, "f4"),))
+    tracemalloc.start()
+    try:
+        text = render_svg(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count(",") == 56800
+    assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
