@@ -26,7 +26,7 @@ from .natmap import (
     induced_indices,
     prime_obstruction,
 )
-from .plmap import PLMap, compose, lap, tent
+from .plmap import PLMap, compose, lap, tent, tent_of
 from .seqs import SeqSpec
 from .svg import PlotSpec, render_svg
 from .threads import apply_natmap, apply_tower, extend, validate
@@ -204,7 +204,7 @@ def cmd_lifts(args) -> int:
     _tent_degree(args.m, "--m")
     h = parse_map(getattr(args, "h"))
     found = enumerate_lifts(h, args.m, args.cap)
-    bad = sum(1 for f in found if compose(tent(args.m), f) != h)
+    bad = sum(1 for f in found if tent_of(args.m, f) != h)
     print(f"{len(found)} lift(s), {bad} failed recomposition")
     if args.out:
         _save(args.out, serialize.dumps([serialize.plmap_to_obj(f) for f in found]))

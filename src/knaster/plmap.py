@@ -13,10 +13,15 @@ integer cross product: evaluation meets a segment with a vertical line,
 composition and the preimage scans meet it with a horizontal one, and a
 breakpoint is merged away when it lies on the line through its
 neighbours. `compose` and the lift step `tent_lift`, which reads f0 tiled n
-times and never builds f0∘tent(n), map triples to triples; Fractions appear
-only at the API boundary (`points`, `xs`, `__call__`, `range_on`, the preimages).
-The JSON writer and the SVG renderer read `triples`, and the JSON reader hands
-integer ratios to `from_ratios`, so neither builds a Fraction per breakpoint.
+times and never builds f0∘tent(n), map triples to triples, and so does
+`tent_of`, which builds tent(m)∘f in one walk over f: the integer tent step
+`_tent_at` (also the tower's) maps each breakpoint, and each fold k/m a
+segment crosses comes from an integer floor, with no search over tent(m).
+Fractions appear only at the API boundary (`points`, `xs`, `__call__`,
+`range_on`, the preimages). The JSON writer and the SVG renderer read
+`triples`, the JSON reader hands integer ratios to `from_ratios`, and
+`repr` spells the triples through `_int_to_str` at any length, so none of
+them builds a Fraction per breakpoint.
 """
 
 from __future__ import annotations
@@ -58,6 +63,13 @@ def _cross(u, v):
     return (b * f - c * e, c * d - a * f, a * e - b * d)
 
 
+def _tent_at(n: int, X: int, D: int) -> tuple[int, int]:
+    """(c, U): the tent leg c = floor(n*X/D) and tent(n)(X/D) = U/D, D > 0."""
+    s = n * X
+    c = s // D
+    return c, s - c * D if c % 2 == 0 else (c + 1) * D - s
+
+
 def _reduce(p):
     """The reduced triple of a homogeneous point with W != 0."""
     x, y, w = p
@@ -91,6 +103,28 @@ def _merge(t) -> tuple:
             merged.pop()
         merged.append(p)
     return tuple(merged)
+
+
+# str() refuses integers longer than sys.get_int_max_str_digits() (4300
+# digits by default, at least 640), so longer ones go in halves.
+def _int_to_str(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _int_to_str(-n)
+        half = n.bit_length() * 3 // 20  # about half the digit count
+        high, low = divmod(n, 10 ** half)
+        return _int_to_str(high) + _int_to_str(low).zfill(half)
+
+
+def _ratio_str(p: int, q: int) -> str:
+    """p/q, q > 0, spelled as str() spells its Fraction: reduced, and "p"
+    alone when q divides p, at any length."""
+    g = math.gcd(p, q)
+    if g == q:
+        return _int_to_str(p // q)
+    return f"{_int_to_str(p // g)}/{_int_to_str(q // g)}"
 
 
 def _triple(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
@@ -179,7 +213,7 @@ class PLMap:
         return hash(self._t)
 
     def __repr__(self) -> str:
-        inside = ", ".join(f"({x}, {y})" for x, y in self.points)
+        inside = ", ".join(f"({_ratio_str(x, w)}, {_ratio_str(y, w)})" for x, y, w in self._t)
         return f"PLMap([{inside}])"
 
 
@@ -226,6 +260,37 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
             pts.append(_reduce((x * w, v * wx, wx * w)))
     _, v, w = outer._at(it[-1][1], it[-1][2])
     pts.append(_reduce((w, v, w)))
+    return _from_triples(pts)
+
+
+def tent_of(m: int, f: PLMap) -> PLMap:
+    """tent(m)∘f, equal to compose(tent(m), f), in one walk over f's triples.
+
+    Each breakpoint goes through the tent step. A segment from height y0 to
+    y1 crosses the folds k/m strictly between them, k from floor(m*y0) + 1
+    up to ceil(m*y1) - 1 (from ceil(m*y0) - 1 down to floor(m*y1) + 1 on a
+    falling segment), and each adds the point where the segment meets
+    y = k/m, of value k % 2. A lift crosses few folds inside its segments,
+    so the segment's line is made only at a crossing."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError("tent index must be a positive integer")
+    t, pts = f._t, []
+    for p0, p1 in zip(t, t[1:]):
+        (X, Y, W), (_, Y1, W1) = p0, p1
+        c, U = _tent_at(m, Y, W)
+        pts.append(_reduce((X, U, W)))
+        rise = Y1 * W - Y * W1
+        if rise > 0:
+            ks = range(c + 1, -(-m * Y1 // W1))
+        elif rise < 0:
+            ks = range(-(-m * Y // W) - 1, m * Y1 // W1, -1)
+        else:
+            continue
+        for k in ks:
+            x, _, w = _cross(_cross(p0, p1), (0, m, -k))
+            pts.append(_reduce((x, k % 2 * w, w)))
+    X, Y, W = t[-1]
+    pts.append(_reduce((X, _tent_at(m, Y, W)[1], W)))
     return _from_triples(pts)
 
 

@@ -9,7 +9,8 @@ Integers are JSON integers; floats, strings and booleans are rejected.
 A map is written from its integer triples (X, Y, W) and read back as integer
 ratios, so neither direction builds a Fraction per breakpoint; a file that
 is not a map object holding a list of [x, y] breakpoints is rejected with a
-message naming what is wrong.
+message naming what is wrong. So is a file of another kind handed to the
+tower, thread, natural map or certificate reader: "not a tower: ...".
 A tower file holds only its inputs: the sequences, t, the depth and, per
 level, the integers n, m, slot and k, which the loader checks against
 the tower it rebuilds.
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from .distinguish import Certificate
 from .natmap import NaturalMapSpec
-from .plmap import PLMap, as_rat
+from .plmap import PLMap, _int_to_str, _ratio_str, as_rat
 from .seqs import GroupedSeq, SeqSpec
 from .threads import Thread
 from .tower import Tower, build_tower
@@ -32,33 +33,14 @@ from .tower import Tower, build_tower
 _RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
 
-# str() and int() refuse integers longer than sys.get_int_max_str_digits()
-# (4300 digits by default, at least 640), so longer ones go in halves.
-def _int_to_str(n: int) -> str:
-    try:
-        return str(n)
-    except ValueError:
-        if n < 0:
-            return "-" + _int_to_str(-n)
-        half = n.bit_length() * 3 // 20  # about half the digit count
-        high, low = divmod(n, 10 ** half)
-        return _int_to_str(high) + _int_to_str(low).zfill(half)
-
-
+# int() refuses strings longer than sys.get_int_max_str_digits(), so longer
+# ones go in halves; plmap._int_to_str is the writing direction.
 def _digits_to_int(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:
         half = len(digits) // 2
         return _digits_to_int(digits[:-half]) * 10 ** half + _digits_to_int(digits[-half:])
-
-
-def _ratio_str(p: int, q: int) -> str:
-    """The wire form of p/q, q > 0: reduced, and "p" alone when q divides p."""
-    g = math.gcd(p, q)
-    if g == q:
-        return _int_to_str(p // q)
-    return f"{_int_to_str(p // g)}/{_int_to_str(q // g)}"
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -93,6 +75,13 @@ def _unit_rat_from_str(text: str) -> Fraction:
     if not 0 <= value <= 1:
         raise ValueError(f"value {text!r} outside [0, 1]")
     return value
+
+
+def _fields(obj, kind: str, keys: tuple[str, ...]) -> None:
+    """Reject obj as not a kind unless it is a JSON object holding every key."""
+    if not isinstance(obj, dict) or not all(key in obj for key in keys):
+        raise ValueError(f"not a {kind}: expected a JSON object with the keys "
+                         + ", ".join(repr(key) for key in keys))
 
 
 def _require_int(obj, key: str) -> int:
@@ -140,7 +129,7 @@ def seqspec_to_obj(seq: SeqSpec) -> dict:
 
 
 def seqspec_from_obj(obj: dict) -> SeqSpec:
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "constant":
         return SeqSpec.constant(_require_int(obj, "n"))
     if kind == "list":
@@ -162,6 +151,7 @@ def natmap_to_obj(spec: NaturalMapSpec) -> dict:
 
 
 def natmap_from_obj(obj: dict) -> NaturalMapSpec:
+    _fields(obj, "natural map", ("i0", "jseq", "N", "M"))
     return NaturalMapSpec(
         i0=_require_int(obj, "i0"),
         jseq=tuple(_require_ints(obj, "jseq")),
@@ -184,6 +174,7 @@ def thread_to_obj(thread: Thread) -> dict:
 
 
 def thread_from_obj(obj: dict) -> Thread:
+    _fields(obj, "thread", ("seq", "coords"))
     return Thread(
         seq=seqspec_from_obj(obj["seq"]),
         coords=tuple(rat_from_str(x) for x in obj["coords"]),
@@ -206,6 +197,7 @@ def tower_to_obj(tower: Tower) -> dict:
 def tower_from_obj(obj: dict) -> Tower:
     """Rebuild the tower and check the stored level integers against it; other
     keys of a level record, such as older files' derived fold data, are ignored."""
+    _fields(obj, "tower", ("rawN", "M", "t", "depth", "levels"))
     raw_source = seqspec_from_obj(obj["rawN"])
     target = seqspec_from_obj(obj["M"])
     t = rat_from_str(obj["t"])
@@ -239,6 +231,7 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> Certificate:
+    _fields(obj, "certificate", ("t", "s", "ell", "j", "q", "witness", "vt", "vs", "p", "r"))
     # Certificate checks nothing, so an out-of-range value is bad input here
     return Certificate(
         t=_unit_rat_from_str(obj["t"]),

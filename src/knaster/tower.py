@@ -14,8 +14,11 @@ Its fold points follow by leg arithmetic, and queries descend the levels;
 an explicit f_j is built on request and kept by no one but the caller. No
 build or descent step takes a gcd or does Fraction arithmetic. An exact
 range descends one subinterval per level for each extreme, on integer
-numerators, and reduces one Fraction at the end; a value f_j(x) is the
-extreme over the point [x, x].
+numerators through plmap's tent step `_tent_at`, and reduces one Fraction at
+the end; a value f_j(x) is the extreme over the point [x, x].
+
+`check_conditions` checks a lift's commuting square with one `compose`,
+f0∘tent(n), against `tent_of(m, f1)`, one walk over f1's breakpoints.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .plmap import (
     ZERO,
     PLMap,
     RatLike,
+    _tent_at,
     as_rat,
     compose,
     leftmost_preimage,
@@ -36,6 +40,7 @@ from .plmap import (
     tent,
     tent_branch,
     tent_lift,
+    tent_of,
     tent_preimages,
     wave_eval,
 )
@@ -147,10 +152,14 @@ def _report(fixes_origin: bool, commutes: bool | None, rng, m: int, q: int,
 
 
 def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
-    """Exact check of the five lift conclusions for f1 against spec."""
+    """Exact check of the five lift conclusions for f1 against spec.
+
+    Condition 2 compares compose(f0, tent(n)) with tent_of(m, f1), the walk
+    over f1's breakpoints and the folds of tent(m) they cross; neither side
+    reads the lift's construction."""
     f0 = spec.f0
     fixes_origin = f0(ZERO) != ZERO or f1(ZERO) == ZERO
-    commutes = compose(f0, tent(spec.n)) == compose(tent(spec.m), f1)
+    commutes = compose(f0, tent(spec.n)) == tent_of(spec.m, f1)
     return _report(fixes_origin, commutes, lambda lo, hi: range_on(f1, lo, hi),
                    spec.m, spec.q, spec.i)
 
@@ -329,13 +338,6 @@ def _switch(lvl: LevelData, below: LevelData | None, lam: int) -> tuple[int, int
     c = lvl.k + lam
     y, w = (below.b_num, below.b_den) if lam % 2 and below else (lam % 2, 1)
     return (c * w + y if c % 2 == 0 else (c + 1) * w - y), lvl.n * w
-
-
-def _tent_at(n: int, X: int, D: int) -> tuple[int, int]:
-    """(c, U): the tent leg c = floor(n*X/D) and tent(n)(X/D) = U/D."""
-    s = n * X
-    c = s // D
-    return c, s - c * D if c % 2 == 0 else (c + 1) * D - s
 
 
 def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fraction:

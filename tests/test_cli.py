@@ -448,6 +448,30 @@ def test_wrong_kind_map_file_names_the_problem(tmp_path, capsys):
     assert not (tmp_path / "x.svg").exists()
 
 
+def test_map_file_passed_as_another_kind_names_the_problem(tmp_path, capsys):
+    lift_path = tmp_path / "lift.json"
+    assert run("lift", "--m", "3", "--n", "7", "--q", "1", "--i", "0",
+               "--out", str(lift_path)) == 0
+    thread_path = tmp_path / "thread.json"
+    thread_path.write_text(dumps(thread_to_obj(Thread(seq=SeqSpec.constant(2), coords=(F(0),)))))
+    lift = str(lift_path)
+    cases = [
+        (("tower", "eval", "--tower", lift, "--level", "1", "--x", "0"),
+         "not a tower: expected a JSON object with the keys 'rawN', 'M', 't', 'depth', 'levels'"),
+        (("thread", "validate", "--thread", lift),
+         "not a thread: expected a JSON object with the keys 'seq', 'coords'"),
+        (("verify-cert", "--cert", lift, "--N", "const:2", "--M", "const:2"),
+         "not a certificate: expected a JSON object with the keys "
+         "'t', 's', 'ell', 'j', 'q', 'witness', 'vt', 'vs', 'p', 'r'"),
+        (("thread", "map", "--thread", str(thread_path), "--natmap", lift),
+         "not a natural map: expected a JSON object with the keys 'i0', 'jseq', 'N', 'M'"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
 def test_missing_file_is_usage_error(tmp_path):
     assert run("thread", "validate", "--thread", str(tmp_path / "nope.json")) == 2
     assert run("verify-cert", "--cert", str(tmp_path / "nope.json"),

@@ -318,3 +318,9 @@ def test_tent_branch_matches_reduced_formula():
                 assert x == _reduced_tent_branch(n, c, y), (n, c, y)
     with pytest.raises(TypeError):
         tent_branch(3, 1, 0.5)
+
+
+def test_repr_of_a_coordinate_past_the_digit_limit():
+    # str() of an int refuses more than 4,300 digits by default
+    f = PLMap([(0, F(1, 10 ** 4400 + 3)), (1, 1)])
+    assert repr(f) == "PLMap([(0, 1/1" + "0" * 4399 + "3), (1, 1)])"

@@ -24,6 +24,7 @@ from knaster import (
     rightmost_preimage,
     tent,
 )
+from knaster.plmap import tent_of
 
 F = Fraction
 
@@ -157,3 +158,46 @@ def test_tents_match_reference():
         for n in range(1, 6):
             want = ref.compose(ref.PLMap(tent(m).points), ref.PLMap(tent(n).points))
             assert compose(tent(m), tent(n)).points == want.points
+
+
+@st.composite
+def fold_cases(draw):
+    """m in 1..12 and a map whose values often sit on a fold k/m of tent(m),
+    at 0 or at 1, or repeat: segments start and end on folds, and flat runs
+    lie at 0, at 1 and on folds."""
+    m = draw(st.integers(1, 12))
+    xs = sorted(draw(st.sets(unit_rationals().filter(lambda x: 0 < x < 1), max_size=7)))
+    xs = [F(0)] + xs + [F(1)]
+    ys = []
+    for _ in xs:
+        kind = draw(st.sampled_from(["fresh", "fold", "repeat", "zero", "one"]))
+        if kind == "fold":
+            ys.append(F(draw(st.integers(0, m)), m))
+        elif kind in ("zero", "one"):
+            ys.append(F(kind == "one"))
+        elif kind == "repeat" and ys:
+            ys.append(ys[-1])
+        else:
+            ys.append(draw(unit_rationals()))
+    return m, list(zip(xs, ys))
+
+
+def _check_tent_of(m, pts):
+    f, fr = both(pts)
+    got = tent_of(m, f)
+    assert got == compose(tent(m), f)
+    assert got.points == ref.compose(ref.PLMap(tent(m).points), fr).points
+
+
+@settings(max_examples=500, deadline=None)
+@given(fold_cases())
+def test_tent_of_matches_compose(case):
+    _check_tent_of(*case)
+
+
+def test_tent_of_long_denominator():
+    d = 10 ** 4400 + 3  # 4,401 digits
+    pts = [(F(0), F(1, d)), (F(1, 3), F(d - 1, d)), (F(1, 2), F(5, 12)),
+           (F(2, 3), F(5, 12)), (F(3, 4), F(0)), (F(1), F(d // 7, d))]
+    for m in (1, 2, 5, 12):
+        _check_tent_of(m, pts)

@@ -130,6 +130,29 @@ def test_check_conditions_tamper(f1_star):
     assert not rep.all_ok
 
 
+def test_check_conditions_nudged_breakpoint():
+    # each value moved by 1/997 toward the middle: still a map, no longer a lift
+    for spec in (LiftSpec(m=3, n=7, q=1, i=0, f0=identity()),
+                 LiftSpec(m=4, n=30, q=3, i=1, f0=tent(2))):
+        pts = list(construct_lift(spec).points)
+        for k, (x, y) in enumerate(pts):
+            nudged = pts[:k] + [(x, y + F(1, 997) if y < F(1, 2) else y - F(1, 997))] + pts[k + 1:]
+            assert check_conditions(PLMap(nudged), spec).commutes is False, (spec, k)
+
+
+def test_check_conditions_composes_once(monkeypatch):
+    calls = []
+
+    def counting_compose(outer, inner):
+        calls.append((outer, inner))
+        return compose(outer, inner)
+
+    monkeypatch.setattr(knaster.tower, "compose", counting_compose)
+    spec = LiftSpec(m=4, n=30, q=3, i=1, f0=tent(2))
+    assert check_conditions(construct_lift(spec), spec).all_ok
+    assert calls == [(spec.f0, tent(spec.n))]
+
+
 def test_check_conditions_degenerate_m1():
     spec = LiftSpec(m=1, n=7, q=1, i=0, f0=identity())
     rep = check_conditions(tent(7), spec)
