@@ -13,22 +13,18 @@ from .natmap import (
     enumerate_natural_maps,
     first_incompatible,
     induced_indices,
-    is_compatible,
     prime_obstruction,
 )
 from .plmap import (
     ONE,
     ZERO,
     PLMap,
-    Rat,
     as_rat,
     compose,
     identity,
     lap,
     leftmost_preimage,
-    normalize,
     range_on,
-    rightmost_preimage,
     tent,
     tent_preimages,
     wave_eval,
@@ -51,7 +47,6 @@ from .tower import (
     construct_lift,
     level_range,
     materialize_level,
-    slot_index,
 )
 
 __version__ = "0.1.0"

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .plmap import ONE, ZERO, RatLike, as_rat
-from .seqs import GroupedSeq, SeqSpec
-from .tower import build_tower, eval_level, slot_index
+from .seqs import SeqSpec
+from .tower import LevelData, build_tower, eval_level
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,16 @@ def pick_level(t: RatLike, s: RatLike, ell: int, target: SeqSpec) -> int:
     return j
 
 
-def pick_q(t: RatLike, j: int, grouped: GroupedSeq) -> tuple[int, Fraction]:
-    """Least q with (slot+1)/j <= 2q/n_j <= (slot+2)/j, and the witness 2q/n_j.
+def pick_q(lvl: LevelData) -> tuple[int, Fraction]:
+    """Least q with (slot+1)/j <= 2q/n_j <= (slot+2)/j, and the witness 2q/n_j,
+    for the level j of t's tower, whose n and slot are lvl's.
 
     The grouped bound n_j > (m_j+2)j makes the window longer than one fold
     spacing, so q exists whenever slot < j-1. For slot = j-1 the window is
     clamped at 1; an odd n_j then has no even fold point in range and the
     call fails.
     """
-    t = as_rat(t)
-    n = grouped.nth(j)
-    slot = slot_index(t, j)
+    n, slot, j = lvl.n, lvl.slot, lvl.j
     q = -(-n * (slot + 1) // (2 * j))
     witness = Fraction(2 * q, n)
     if witness > ONE:
@@ -103,7 +102,7 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
             raise ValueError(f"level {level} violates the certificate inequalities")
         j = level
     tower_t = build_tower(raw_source, target, t, j)
-    q, witness = pick_q(t, j, tower_t.grouped)
+    q, witness = pick_q(tower_t.level(j))
     tower_s = build_tower(raw_source, target, s, j)
     vt = eval_level(tower_t, j, witness)
     vs = eval_level(tower_s, j, witness)

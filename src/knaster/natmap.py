@@ -64,10 +64,6 @@ def first_incompatible(spec: NaturalMapSpec, depth: int) -> int | None:
     return None
 
 
-def is_compatible(spec: NaturalMapSpec, depth: int) -> bool:
-    return first_incompatible(spec, depth) is None
-
-
 def _least_compatible_picks(source: SeqSpec, target: SeqSpec, i0: int, j0: int,
                             jmax: int, depth: int) -> tuple[int, ...] | None:
     """Lexicographically least j_1 < ... < j_depth <= jmax, all past j0, with

@@ -17,7 +17,7 @@ times and never builds f0∘tent(n), map triples to triples, and so does
 `tent_of`, which builds tent(m)∘f in one walk over f: the integer tent step
 `_tent_at` (also the tower's) maps each breakpoint, and each fold k/m a
 segment crosses comes from an integer floor, with no search over tent(m).
-Fractions appear only at the API boundary (`points`, `xs`, `__call__`,
+Fractions appear only at the API boundary (`points`, `__call__`,
 `range_on`, the preimages). The JSON writer and the SVG renderer read
 `triples`, the JSON reader hands integer ratios to `from_ratios`, and
 `repr` spells the triples through `_int_to_str` at any length, so none of
@@ -27,24 +27,28 @@ them builds a Fraction per breakpoint.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-Rat = Fraction
 RatLike = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 TENT_CACHE_SIZE = 256  # above every workload's set of tent degrees (at most ~150)
+_RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")  # a canonical rational
 
 
 def as_rat(x: RatLike) -> Fraction:
-    """Coerce to an exact rational; floats are rejected on purpose."""
+    """Coerce to an exact rational; floats are rejected on purpose, and a string
+    must spell a rational canonically, as the JSON files do (see `_rat_parts`)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int) or isinstance(x, str):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(*_rat_parts(x))
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -127,6 +131,34 @@ def _ratio_str(p: int, q: int) -> str:
     return f"{_int_to_str(p // g)}/{_int_to_str(q // g)}"
 
 
+# int() refuses strings longer than sys.get_int_max_str_digits(), so longer
+# ones go in halves; _int_to_str is the writing direction.
+def _digits_to_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _digits_to_int(digits[:-half]) * 10 ** half + _digits_to_int(digits[-half:])
+
+
+def _rat_parts(text: str) -> tuple[int, int]:
+    """The (numerator, denominator) of a rational string, denominator positive;
+    anything but "p/q" in lowest terms, or "p" alone when q = 1, is rejected."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    match = _RAT_RE.match(text)
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}")
+    sign, digits, den_digits = match.groups()
+    if den_digits == "1" or (sign and digits == "0"):
+        raise ValueError(f"non-canonical rational {text!r}")
+    num = _digits_to_int(digits)
+    den = _digits_to_int(den_digits) if den_digits else 1
+    if math.gcd(num, den) != 1:
+        raise ValueError(f"rational {text!r} is not in lowest terms")
+    return (-num if sign else num), den
+
+
 def _triple(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
     """The reduced triple of (xn/xd, yn/yd), both in lowest terms with
     positive denominators: over the lcm of the denominators it is reduced."""
@@ -186,11 +218,6 @@ class PLMap:
         """The breakpoints as (x, y) pairs, built afresh on each access."""
         return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in self._t)
 
-    @property
-    def xs(self) -> list[Fraction]:
-        """The breakpoint x-coordinates, built afresh on each access."""
-        return [Fraction(x, w) for x, _, w in self._t]
-
     def _at(self, p: int, q: int):
         """The reduced triple of the graph's point at x = p/q in [0, 1], q > 0."""
         t = self._t
@@ -215,13 +242,6 @@ class PLMap:
     def __repr__(self) -> str:
         inside = ", ".join(f"({_ratio_str(x, w)}, {_ratio_str(y, w)})" for x, y, w in self._t)
         return f"PLMap([{inside}])"
-
-
-def normalize(points) -> PLMap:
-    """Canonical form of a breakpoint list; a PLMap is already canonical."""
-    if isinstance(points, PLMap):
-        return points
-    return PLMap(points)
 
 
 def identity() -> PLMap:
@@ -342,11 +362,10 @@ def range_on(f: PLMap, a: RatLike, b: RatLike) -> tuple[Fraction, Fraction]:
     return Fraction(*lo), Fraction(*hi)
 
 
-def _first_preimage(t, y: RatLike) -> Fraction | None:
-    """The first x, scanning the breakpoints t in order, where the graph
-    reaches height y; None when it never does."""
+def leftmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
+    """Smallest x with f(x) = y, or None when y is not attained."""
     y = as_rat(y)
-    p, q = y.numerator, y.denominator
+    p, q, t = y.numerator, y.denominator, f._t
     for p0, p1 in zip(t, t[1:]):
         s0 = p0[1] * q - p * p0[2]
         if s0 == 0:
@@ -355,18 +374,8 @@ def _first_preimage(t, y: RatLike) -> Fraction | None:
             x, _, w = _cross(_cross(p0, p1), (0, q, -p))
             return Fraction(x, w)
     if t[-1][1] * q == p * t[-1][2]:
-        return Fraction(t[-1][0], t[-1][2])
+        return ONE
     return None
-
-
-def leftmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
-    """Smallest x with f(x) = y, or None when y is not attained."""
-    return _first_preimage(f._t, y)
-
-
-def rightmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
-    """Largest x with f(x) = y, or None when y is not attained."""
-    return _first_preimage(f._t[::-1], y)
 
 
 def tent_preimages(n: int, y: RatLike) -> list[Fraction]:

@@ -9,6 +9,7 @@ unchanged by regrouping; everything downstream works over the grouped terms.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -73,10 +74,7 @@ class SeqSpec:
         """Product of the first j terms; 1 when j = 0."""
         if j < 0:
             raise ValueError("prefix length must be >= 0")
-        out = 1
-        for i in range(1, j + 1):
-            out *= self.nth(i)
-        return out
+        return math.prod(self.nth(i) for i in range(1, j + 1))
 
 
 class GroupedSeq:
@@ -90,7 +88,8 @@ class GroupedSeq:
     def __init__(self, raw: SeqSpec, partner: SeqSpec):
         self.raw = raw
         self.partner = partner
-        self._blocks: list[tuple[int, int, int]] = []  # (start, end, product), 1-based inclusive
+        self._blocks: list[int] = []  # the grouped terms, products of raw blocks
+        self._used = 0  # raw terms the blocks use
         self._lock = threading.Lock()
 
     def ensure(self, levels: int) -> None:
@@ -100,39 +99,25 @@ class GroupedSeq:
             while len(self._blocks) < levels:
                 j = len(self._blocks) + 1
                 bound = (self.partner.nth(j) + 2) * j
-                start = self._blocks[-1][1] + 1 if self._blocks else 1
-                end, product = start - 1, 1
+                used, product = self._used, 1
                 while product <= bound:
-                    end += 1
-                    product *= self.raw.nth(end)
-                self._blocks.append((start, end, product))
+                    used += 1
+                    product *= self.raw.nth(used)
+                self._blocks.append(product)
+                self._used = used
 
     def nth(self, j: int) -> int:
         if j < 1:
             raise ValueError("term index must be >= 1")
         self.ensure(j)
-        return self._blocks[j - 1][2]
-
-    def blocks(self, levels: int) -> list[tuple[int, int, int]]:
-        self.ensure(levels)
-        return list(self._blocks[:levels])
-
-    def consumed(self, levels: int) -> int:
-        """How many raw terms the first `levels` blocks use."""
-        if levels == 0:
-            return 0
-        self.ensure(levels)
-        return self._blocks[levels - 1][1]
+        return self._blocks[j - 1]
 
     def prefix_product(self, j: int) -> int:
         """Product of grouped terms 1..j (equals the consumed raw prefix product)."""
         if j < 0:
             raise ValueError("prefix length must be >= 0")
         self.ensure(j)
-        out = 1
-        for _, _, product in self._blocks[:j]:
-            out *= product
-        return out
+        return math.prod(self._blocks[:j])
 
 
 def regroup(raw: SeqSpec, partner: SeqSpec, levels: int) -> GroupedSeq:

@@ -10,7 +10,8 @@ A map is written from its integer triples (X, Y, W) and read back as integer
 ratios, so neither direction builds a Fraction per breakpoint; a file that
 is not a map object holding a list of [x, y] breakpoints is rejected with a
 message naming what is wrong. So is a file of another kind handed to the
-tower, thread, natural map or certificate reader: "not a tower: ...".
+tower, thread, natural map or certificate reader: "not a tower: ...", and
+a field missing or mistyped deeper in is named: "level 1: missing field 'n'".
 A tower file holds only its inputs: the sequences, t, the depth and, per
 level, the integers n, m, slot and k, which the loader checks against
 the tower it rebuilds.
@@ -19,51 +20,19 @@ the tower it rebuilds.
 from __future__ import annotations
 
 import json
-import math
-import re
 from fractions import Fraction
 
 from .distinguish import Certificate
 from .natmap import NaturalMapSpec
-from .plmap import PLMap, _int_to_str, _ratio_str, as_rat
+from .plmap import PLMap, _rat_parts, _ratio_str, as_rat
 from .seqs import GroupedSeq, SeqSpec
 from .threads import Thread
 from .tower import Tower, build_tower
-
-_RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
-
-
-# int() refuses strings longer than sys.get_int_max_str_digits(), so longer
-# ones go in halves; plmap._int_to_str is the writing direction.
-def _digits_to_int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:
-        half = len(digits) // 2
-        return _digits_to_int(digits[:-half]) * 10 ** half + _digits_to_int(digits[-half:])
 
 
 def rat_to_str(x: Fraction) -> str:
     x = as_rat(x)
     return _ratio_str(x.numerator, x.denominator)
-
-
-def _rat_parts(text: str) -> tuple[int, int]:
-    """The (numerator, denominator) of a wire rational, in lowest terms,
-    denominator positive; anything but the canonical spelling is rejected."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    match = _RAT_RE.match(text)
-    if match is None:
-        raise ValueError(f"malformed rational {text!r}")
-    sign, digits, den_digits = match.groups()
-    if den_digits == "1" or (sign and digits == "0"):
-        raise ValueError(f"non-canonical rational {text!r}")
-    num = _digits_to_int(digits)
-    den = _digits_to_int(den_digits) if den_digits else 1
-    if math.gcd(num, den) != 1:
-        raise ValueError(f"rational {text!r} is not in lowest terms")
-    return (-num if sign else num), den
 
 
 def rat_from_str(text: str) -> Fraction:
@@ -84,19 +53,33 @@ def _fields(obj, kind: str, keys: tuple[str, ...]) -> None:
                          + ", ".join(repr(key) for key in keys))
 
 
-def _require_int(obj, key: str) -> int:
-    value = obj[key]
+def _read(obj, key: str, parse):
+    """parse(obj[key]) for a JSON object obj holding key; any failure names the field."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing field {key!r}")
+    try:
+        return parse(obj[key])
+    except ValueError as e:
+        raise ValueError(f"field {key!r}: {e}") from None
+
+
+def _int(value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"field {key!r} must be an integer")
+        raise ValueError("expected an integer")
     return value
 
 
-def _require_ints(obj, key: str) -> list[int]:
-    values = obj[key]
+def _ints(values) -> list[int]:
     if not isinstance(values, list) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"field {key!r} must be a list of integers")
+        raise ValueError("expected a list of integers")
     return values
+
+
+def _rats(values) -> tuple[Fraction, ...]:
+    if not isinstance(values, list):
+        raise ValueError("expected a list of rational strings")
+    return tuple(rat_from_str(v) for v in values)
 
 
 # ---------------------------------------------------------------- PLMap
@@ -131,12 +114,12 @@ def seqspec_to_obj(seq: SeqSpec) -> dict:
 def seqspec_from_obj(obj: dict) -> SeqSpec:
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "constant":
-        return SeqSpec.constant(_require_int(obj, "n"))
+        return SeqSpec.constant(_read(obj, "n", _int))
     if kind == "list":
-        return SeqSpec.from_list(_require_ints(obj, "items"))
+        return SeqSpec.from_list(_read(obj, "items", _ints))
     if kind == "periodic":
-        return SeqSpec.periodic(_require_ints(obj, "prefix"), _require_ints(obj, "period"))
-    raise ValueError(f"unknown sequence kind {kind!r}")
+        return SeqSpec.periodic(_read(obj, "prefix", _ints), _read(obj, "period", _ints))
+    raise ValueError(f"field 'kind': unknown sequence kind {kind!r}")
 
 
 # --------------------------------------------------------- NaturalMapSpec
@@ -153,10 +136,10 @@ def natmap_to_obj(spec: NaturalMapSpec) -> dict:
 def natmap_from_obj(obj: dict) -> NaturalMapSpec:
     _fields(obj, "natural map", ("i0", "jseq", "N", "M"))
     return NaturalMapSpec(
-        i0=_require_int(obj, "i0"),
-        jseq=tuple(_require_ints(obj, "jseq")),
-        source=seqspec_from_obj(obj["N"]),
-        target=seqspec_from_obj(obj["M"]),
+        i0=_read(obj, "i0", _int),
+        jseq=tuple(_read(obj, "jseq", _ints)),
+        source=_read(obj, "N", seqspec_from_obj),
+        target=_read(obj, "M", seqspec_from_obj),
     )
 
 
@@ -176,8 +159,8 @@ def thread_to_obj(thread: Thread) -> dict:
 def thread_from_obj(obj: dict) -> Thread:
     _fields(obj, "thread", ("seq", "coords"))
     return Thread(
-        seq=seqspec_from_obj(obj["seq"]),
-        coords=tuple(rat_from_str(x) for x in obj["coords"]),
+        seq=_read(obj, "seq", seqspec_from_obj),
+        coords=_read(obj, "coords", _rats),
     )
 
 
@@ -198,16 +181,23 @@ def tower_from_obj(obj: dict) -> Tower:
     """Rebuild the tower and check the stored level integers against it; other
     keys of a level record, such as older files' derived fold data, are ignored."""
     _fields(obj, "tower", ("rawN", "M", "t", "depth", "levels"))
-    raw_source = seqspec_from_obj(obj["rawN"])
-    target = seqspec_from_obj(obj["M"])
-    t = rat_from_str(obj["t"])
-    depth = _require_int(obj, "depth")
+    raw_source = _read(obj, "rawN", seqspec_from_obj)
+    target = _read(obj, "M", seqspec_from_obj)
+    t = _read(obj, "t", rat_from_str)
+    depth = _read(obj, "depth", _int)
     stored = obj["levels"]
+    if not isinstance(stored, list):
+        raise ValueError("field 'levels': expected a list of level records")
     if len(stored) != depth:
         raise ValueError(f"tower claims depth {depth} but stores {len(stored)} levels")
     tower = build_tower(raw_source, target, t, depth)
     for lvl, rec in zip(tower.levels, stored):
-        ints = tuple(_require_int(rec, key) for key in ("n", "m", "slot", "k"))
+        if not isinstance(rec, dict):
+            raise ValueError(f"field 'levels': level {lvl.j} is not a JSON object")
+        try:
+            ints = tuple(_read(rec, key, _int) for key in ("n", "m", "slot", "k"))
+        except ValueError as e:
+            raise ValueError(f"level {lvl.j}: {e}") from None
         if ints != (lvl.n, lvl.m, lvl.slot, lvl.k):
             raise ValueError(f"stored level {lvl.j} disagrees with the rebuilt tower")
     return tower
@@ -234,16 +224,16 @@ def certificate_from_obj(obj: dict) -> Certificate:
     _fields(obj, "certificate", ("t", "s", "ell", "j", "q", "witness", "vt", "vs", "p", "r"))
     # Certificate checks nothing, so an out-of-range value is bad input here
     return Certificate(
-        t=_unit_rat_from_str(obj["t"]),
-        s=_unit_rat_from_str(obj["s"]),
-        ell=_require_int(obj, "ell"),
-        j=_require_int(obj, "j"),
-        q=_require_int(obj, "q"),
-        witness=_unit_rat_from_str(obj["witness"]),
-        vt=_unit_rat_from_str(obj["vt"]),
-        vs=_unit_rat_from_str(obj["vs"]),
-        p=_require_int(obj, "p"),
-        r=_require_int(obj, "r"),
+        t=_read(obj, "t", _unit_rat_from_str),
+        s=_read(obj, "s", _unit_rat_from_str),
+        ell=_read(obj, "ell", _int),
+        j=_read(obj, "j", _int),
+        q=_read(obj, "q", _int),
+        witness=_read(obj, "witness", _unit_rat_from_str),
+        vt=_read(obj, "vt", _unit_rat_from_str),
+        vs=_read(obj, "vs", _unit_rat_from_str),
+        p=_read(obj, "p", _int),
+        r=_read(obj, "r", _int),
     )
 
 

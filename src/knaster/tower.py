@@ -5,17 +5,18 @@ with (m+2)q <= n, and produces a lift f1 satisfying tent(m)∘f1 = f0∘tent(n)
 whose full sweep of [0, 1] happens inside [i/q, (i+1)/q], with the rest of
 the domain pinned near 0 (left of the window) or near 1 (right of it).
 
-Iterating the kernel with q = level index and i = slot_index(t, j) yields,
-for each rational parameter t, a tower of interval maps {f_j} commuting
-with the two bonding sequences. Towers are never materialized eagerly: the
-lap count of f_j grows like n_1*...*n_j, so a level stores integers only:
-n, m, slot, k and the numerator of its tracked preimage over n_1*...*n_j.
-Its fold points follow by leg arithmetic, and queries descend the levels;
-an explicit f_j is built on request and kept by no one but the caller. No
-build or descent step takes a gcd or does Fraction arithmetic. An exact
-range descends one subinterval per level for each extreme, on integer
-numerators through plmap's tent step `_tent_at`, and reduces one Fraction at
-the end; a value f_j(x) is the extreme over the point [x, x].
+Iterating the kernel with q = level index j and i = min(floor(t*j), j-1),
+the slot of the window [i/j, (i+1)/j] holding t, yields, for each rational
+parameter t, a tower of interval maps {f_j} commuting with the two bonding
+sequences. Towers are never materialized eagerly: the lap count of f_j
+grows like n_1*...*n_j, so a level stores integers only: n, m, slot, k and
+the numerator of its tracked preimage over n_1*...*n_j. Its fold points
+follow by leg arithmetic, and queries descend the levels; an explicit f_j
+is built on request and kept by no one but the caller. No build or descent
+step takes a gcd or does Fraction arithmetic. An exact range descends one
+subinterval per level for each extreme, on integer numerators through
+plmap's tent step `_tent_at`, and reduces one Fraction at the end; a value
+f_j(x) is the extreme over the point [x, x].
 
 `check_conditions` checks a lift's commuting square with one `compose`,
 f0∘tent(n), against `tent_of(m, f1)`, one walk over f1's breakpoints.
@@ -51,16 +52,6 @@ DEFAULT_LAP_BUDGET = 10 ** 6
 
 class LapBudgetError(ValueError):
     """Materializing this level would exceed the allowed lap bound."""
-
-
-def slot_index(t: RatLike, j: int) -> int:
-    """Index of the window [i/j, (i+1)/j] containing t (floor, clamped at j-1)."""
-    t = as_rat(t)
-    if not ZERO <= t <= ONE:
-        raise ValueError(f"{t} outside [0, 1]")
-    if j < 1:
-        raise ValueError("level must be positive")
-    return min(math.floor(t * j), j - 1)
 
 
 @dataclass(frozen=True)
@@ -167,9 +158,9 @@ def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
 @dataclass(frozen=True)
 class LevelData:
     """One tower level, all integers: n, m, slot, k, and its leftmost
-    1-preimage b_self as the unreduced b_num / b_den, b_den = n_1*...*n_j.
+    1-preimage as the unreduced b_num / b_den, b_den = n_1*...*n_j.
     Its fold points t_lam = tent_branch(n, k + lam, 0 or the level below's
-    b_self) are derived, not stored, so towers never materialize anything."""
+    1-preimage) are derived, not stored, so towers never materialize anything."""
 
     j: int
     n: int
@@ -179,18 +170,13 @@ class LevelData:
     b_num: int
     b_den: int
 
-    @property
-    def b_self(self) -> Fraction:
-        """The leftmost 1-preimage, reduced; the tower itself reads b_num and b_den."""
-        return Fraction(self.b_num, self.b_den)
-
 
 def _branch(lvl: LevelData, below: LevelData | None, c: int, U: int, D: int) -> int:
     """Branch index of lvl (its switch points t_1..t_{m-1} at or left of x) at
     x on tent leg c = floor(n*x), U/D = tent(n)(x) with D > 0. t_lam lies on
-    leg k + lam and maps to 0 (lam even) or to b_self of the level below (1
-    at level 1), and tent(n) rises on even legs, falls on odd ones, so only
-    t_{c-k} needs a compare, made by cross-multiplying."""
+    leg k + lam and maps to 0 (lam even) or to the 1-preimage b_num / b_den
+    of the level below (1 at level 1), and tent(n) rises on even legs, falls
+    on odd ones, so only t_{c-k} needs a compare, made by cross-multiplying."""
     d = c - lvl.k
     if d < 1:
         return 0
@@ -267,7 +253,7 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         n, m = grouped.nth(j), target.nth(j)
         if not (m + 2) * j < n:
             raise ValueError(f"level {j}: n = {n} does not exceed (m+2)j = {(m + 2) * j}")
-        slot = min(t_num * j // t_den, j - 1)  # slot_index(t, j)
+        slot = min(t_num * j // t_den, j - 1)  # the window [slot/j, (slot+1)/j] holding t
         k = -(-n * slot // j)
         # Where this level's map first reaches 1: past fold t_{m-1}, on leg c,
         # the map is the top branch, so it reaches 1 where the previous map
@@ -333,8 +319,8 @@ def level_range(tower: Tower, j: int, lo: RatLike, hi: RatLike) -> tuple[Fractio
 
 def _switch(lvl: LevelData, below: LevelData | None, lam: int) -> tuple[int, int]:
     """Switch point t_lam of lvl as an unreduced (numerator, denominator): on
-    tent leg k + lam, where tent(n) maps it to 0 (lam even) or to b_self of
-    the level below (1 at level 1)."""
+    tent leg k + lam, where tent(n) maps it to 0 (lam even) or to the
+    1-preimage b_num / b_den of the level below (1 at level 1)."""
     c = lvl.k + lam
     y, w = (below.b_num, below.b_den) if lam % 2 and below else (lam % 2, 1)
     return (c * w + y if c % 2 == 0 else (c + 1) * w - y), lvl.n * w
@@ -414,8 +400,7 @@ def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
         raise ValueError("tent index must be a positive integer")
     if cap < 1:
         raise ValueError("cap must be positive")
-    xs = h.xs
-    ys = [y for _, y in h.points]
+    xs, ys = zip(*h.points)
     last = len(xs) - 1
     out: list[PLMap] = []
     # Explicit stack of (index, value, direction) nodes, children pushed in

@@ -225,15 +225,3 @@ def leftmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
     return None
 
 
-def rightmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
-    """Largest x with f(x) = y, or None when y is not attained."""
-    y = as_rat(y)
-    rev = f.points[::-1]
-    for (x1, y1), (x0, y0) in zip(rev, rev[1:]):
-        if y1 == y:
-            return x1
-        if y0 != y1 and min(y0, y1) <= y <= max(y0, y1):
-            return x0 + (x1 - x0) * (y - y0) / (y1 - y0)
-    if f.points[0][1] == y:
-        return ZERO
-    return None

@@ -5,7 +5,7 @@ the oracle for the range differentials in `test_tower.py`. At every level
 it asks the level below for the sub-range of every piece between branch
 switches and takes the minimum and maximum over the images of all their
 ends. It splits intervals at the stored switch points by bisection, derives
-those points from a level's `n, k, m` and the level below's `b_self` with
+those points from a level's `n, k, m` and the level below's `b_num / b_den` with
 its own tent arithmetic, and keeps its memo to one call, so it shares no
 code with the lazy descent it checks.
 """
@@ -64,7 +64,8 @@ def level_range(tower, j: int, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fr
     plans, need = [], {(lo, hi)}
     for level in range(j, 0, -1):
         lvl = tower.levels[level - 1]
-        b_prev = tower.levels[level - 2].b_self if level > 1 else ONE
+        below = tower.levels[level - 2] if level > 1 else None
+        b_prev = Fraction(below.b_num, below.b_den) if below else ONE
         plan = {iv: stored_range_pieces(lvl, b_prev, *iv) for iv in need}
         plans.append((level, plan))
         need = {sub for pieces in plan.values() for _, sub in pieces}

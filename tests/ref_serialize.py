@@ -13,8 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from knaster.plmap import PLMap, as_rat
-from knaster.serialize import _digits_to_int, _int_to_str
+from knaster.plmap import PLMap, _digits_to_int, _int_to_str, as_rat
 
 _RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 

@@ -5,18 +5,19 @@ climb, kept as the oracle for the tower differentials in `test_tower.py`.
 Every tower step goes through `_tent_branch`, which builds a reduced
 Fraction from two integers as long as the step's value, so each level pays
 a gcd that grows with depth; the library keeps unreduced integer
-numerators over n_1*...*n_j instead, so the `b_self` differential compares
-two arithmetic paths. The slot comes from `slot_index`, and the branch
-choice is a Fraction compare.
+numerators over n_1*...*n_j instead, so the differential of the tracked
+1-preimage compares two arithmetic paths. The slot is min(floor(t*j), j-1)
+taken on the Fraction t, and the branch choice is a Fraction compare.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from knaster.plmap import ONE, ZERO, RatLike, as_rat
 from knaster.seqs import SeqSpec, regroup
-from knaster.tower import LevelData, Tower, slot_index
+from knaster.tower import LevelData, Tower
 
 
 def _tent_branch(n: int, c: int, y: Fraction) -> Fraction:
@@ -51,7 +52,7 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
         n, m = grouped.nth(j), target.nth(j)
         if not (m + 2) * j < n:
             raise ValueError(f"level {j}: n = {n} does not exceed (m+2)j = {(m + 2) * j}")
-        slot = slot_index(t, j)
+        slot = min(math.floor(t * j), j - 1)
         k = -(-n * slot // j)
         c = k + m - 1
         if m % 2 == 1:
@@ -80,5 +81,5 @@ def eval_level(tower: Tower, j: int, x: RatLike) -> Fraction:
     y, b_prev = x, ONE
     for lvl, c, u in reversed(legs):
         y = _tent_branch(lvl.m, _branch(lvl, b_prev, c, u), y)
-        b_prev = lvl.b_self
+        b_prev = Fraction(lvl.b_num, lvl.b_den)
     return y

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,13 +11,13 @@ import pytest
 
 import knaster
 from knaster import (
+    LevelData,
     SeqSpec,
     build_tower,
     eval_level,
     make_certificate,
     pick_level,
     pick_q,
-    regroup,
     verify_certificate,
     wave_eval,
 )
@@ -61,48 +62,45 @@ def test_pick_level_rejects_degenerate():
 
 
 def test_pick_q_desk():
-    grouped = regroup(c2, c2, 7)
-    q, witness = pick_q(F(0), 7, grouped)
+    lvl = build_tower(c2, c2, F(0), 7).level(7)
+    q, witness = pick_q(lvl)
     assert (q, witness) == (3, F(3, 16))
     # witness is an even fold point of tent(n_7)
-    assert wave_eval(grouped.nth(7) * witness) == 0
+    assert wave_eval(lvl.n * witness) == 0
 
 
 def test_pick_q_window():
-    grouped = regroup(c2, c2, 9)
-    for j in range(2, 10):
-        for num in range(8):
-            t = F(num, 8)
-            from knaster import slot_index
-            slot = slot_index(t, j)
-            q, witness = pick_q(t, j, grouped)
+    for num in range(8):
+        t = F(num, 8)
+        for lvl in build_tower(c2, c2, t, 9).levels[1:]:
+            j, n, slot = lvl.j, lvl.n, lvl.slot
+            assert slot == min(math.floor(t * j), j - 1)
+            q, witness = pick_q(lvl)
             assert F(slot + 1, j) <= witness <= F(slot + 2, j)
-            assert witness == F(2 * q, grouped.nth(j))
+            assert witness == F(2 * q, n)
             # least such q
             if witness > F(slot + 1, j):
-                assert F(2 * (q - 1), grouped.nth(j)) < F(slot + 1, j)
+                assert F(2 * (q - 1), n) < F(slot + 1, j)
 
 
 def test_pick_q_clamped_top_slot():
-    grouped = regroup(c2, c2, 2)  # n_2 = 16
-    q, witness = pick_q(F(1), 2, grouped)
+    lvl = build_tower(c2, c2, F(1), 2).level(2)  # n_2 = 16
+    q, witness = pick_q(lvl)
     assert witness == 1 and q == 8
 
 
 def test_pick_q_odd_n_top_slot_fails():
-    grouped = regroup(SeqSpec.constant(3), c2, 1)  # n_1 = 9, slot = 0 = j-1
+    lvl = build_tower(SeqSpec.constant(3), c2, F(1), 1).level(1)  # n_1 = 9, slot = 0 = j-1
     with pytest.raises(ValueError):
-        pick_q(F(1), 1, grouped)
+        pick_q(lvl)
 
 
 def test_pick_q_invariant_failure_has_a_message():
-    # a bonding view below the grouped bound (n_3 = 2, not > (m_3+2)*3) puts
-    # the witness 2q/n past the window; the failure must say which invariant broke
-    class Ungrouped:
-        def nth(self, j):
-            return 2
+    # a level below the grouped bound (n_3 = 2, not > (m_3+2)*3) puts the
+    # witness 2q/n past the window; the failure must say which invariant broke
+    lvl = LevelData(j=3, n=2, m=2, slot=0, k=0, b_num=1, b_den=1)
     with pytest.raises(AssertionError, match=r"witness 1 lies past 2/3: n_j = 2 breaks"):
-        pick_q(F(0), 3, Ungrouped())
+        pick_q(lvl)
 
 
 def test_certificate_desk_frozen():

@@ -71,7 +71,7 @@ def test_switch_points_on_and_off_breakpoints():
     # is flat at 0 around t_2 = 2/5, so only t_1 is a breakpoint of g
     pts = [(F(0), F(0)), (F(1, 3), F(0)), (F(1), F(1))]
     switches = _fold_points(5, 0, 3, F(0), F(1))[1:3]
-    g_xs = set(compose(PLMap(pts), tent(5)).xs)
+    g_xs = {x for x, _ in compose(PLMap(pts), tent(5)).points}
     assert [t in g_xs for t in switches] == [True, False]
     got, want = _both(pts, 3, 5, 1, 0)
     assert got.points == want.points

@@ -22,8 +22,7 @@ def oracle_lifts(h: PLMap, m: int) -> set[PLMap]:
     straight segment v -> w onto that piece of h, which holds exactly when
     no fold point c/m lies strictly between v and w.
     """
-    xs = h.xs
-    ys = [y for _, y in h.points]
+    xs, ys = zip(*h.points)
     folds = [F(c, m) for c in range(m + 1)]
 
     def step(v, y_next):
@@ -49,8 +48,7 @@ def oracle_lifts(h: PLMap, m: int) -> set[PLMap]:
 def recursive_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
     """Reference for enumerate_lifts' output order: the recursive depth-first
     search it replaced, one call per breakpoint of h."""
-    xs = h.xs
-    ys = [y for _, y in h.points]
+    xs, ys = zip(*h.points)
     last = len(xs) - 1
     out: list[PLMap] = []
 

@@ -11,7 +11,6 @@ from knaster import (
     enumerate_natural_maps,
     first_incompatible,
     induced_indices,
-    is_compatible,
     prime_obstruction,
 )
 from knaster import natmap
@@ -37,7 +36,7 @@ def oracle_first_incompatible(spec: NaturalMapSpec, depth: int):
 def test_identity_indices():
     spec = NaturalMapSpec(1, tuple(range(11)), c2, c2)
     assert induced_indices(spec, 10) == [F(1)] * 10
-    assert is_compatible(spec, 10)
+    assert first_incompatible(spec, 10) is None
 
 
 def test_shift_indices():
@@ -49,7 +48,6 @@ def test_mixed_indices_frozen():
     spec = NaturalMapSpec(9, (0, 1, 2, 3), c2, c3)
     assert induced_indices(spec, 3) == [F(6), F(4), F(8, 3)]
     assert first_incompatible(spec, 3) == 3
-    assert not is_compatible(spec, 3)
 
 
 def test_six_over_two_powers_of_three():

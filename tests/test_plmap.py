@@ -11,9 +11,7 @@ from knaster import (
     identity,
     lap,
     leftmost_preimage,
-    normalize,
     range_on,
-    rightmost_preimage,
     tent,
     tent_preimages,
     wave_eval,
@@ -124,6 +122,17 @@ def test_rational_like_inputs():
     assert tent(2)("1/4") == F(1, 2)
 
 
+def test_rational_strings_share_the_wire_grammar():
+    assert plmap.as_rat("1/3") == F(1, 3)
+    assert plmap.as_rat("-7") == -7
+    big = "1/" + "7" * 5000  # past the default int-from-str digit limit
+    assert plmap.as_rat(big) == F(1, (10 ** 5000 - 1) // 9 * 7)
+    # the spellings Fraction(str) also takes are rejected, as in the JSON files
+    for text in ("0.5", "2/4", "1e-1000000", " 1/3", "1/1", "-0", "+1", "1_000", "3/0"):
+        with pytest.raises(ValueError):
+            plmap.as_rat(text)
+
+
 # -------------------------------------------------------------- compose
 
 def test_compose_semigroup_small():
@@ -213,7 +222,7 @@ def test_range_on_brute_force(f, a, b):
         a, b = b, a
     lo, hi = range_on(f, a, b)
     # brute-force oracle: sample the interval endpoints, breakpoints, and a grid
-    candidates = [a, b] + [x for x in f.xs if a <= x <= b]
+    candidates = [a, b] + [x for x, _ in f.points if a <= x <= b]
     grid = [a + (b - a) * F(k, 17) for k in range(18)]
     values = [f(x) for x in candidates + grid]
     assert lo == min(values)
@@ -221,22 +230,22 @@ def test_range_on_brute_force(f, a, b):
     assert min(values) >= lo and max(values) <= hi
 
 
-# ------------------------------------------------------------ normalize
+# ------------------------------------------------------- canonical form
 
 def test_normalize_merges_spec_example():
     raw = [(0, 0), (F(1, 7), F(1, 3)), (F(2, 7), F(2, 3)), (F(3, 7), 1),
            (F(4, 7), F(2, 3)), (F(5, 7), 1), (F(6, 7), F(2, 3)), (1, 1)]
     expect = [(F(0), F(0)), (F(3, 7), F(1)), (F(4, 7), F(2, 3)),
               (F(5, 7), F(1)), (F(6, 7), F(2, 3)), (F(1), F(1))]
-    assert normalize(raw).points == tuple(expect)
+    assert PLMap(raw).points == tuple(expect)
 
 
 def test_normalize_identity_unchanged():
-    assert normalize([(0, 0), (1, 1)]).points == ((F(0), F(0)), (F(1), F(1)))
+    assert PLMap([(0, 0), (1, 1)]).points == ((F(0), F(0)), (F(1), F(1)))
 
 
 def test_normalize_collinear_midpoint():
-    assert normalize([(0, 0), (F(1, 2), F(1, 2)), (1, 1)]) == identity()
+    assert PLMap([(0, 0), (F(1, 2), F(1, 2)), (1, 1)]) == identity()
 
 
 def test_normalize_rejects_bad_lists():
@@ -253,17 +262,15 @@ def test_normalize_rejects_bad_lists():
 @settings(max_examples=60, deadline=None)
 @given(plmaps())
 def test_normalize_idempotent(f):
-    assert normalize(f.points) == f
-    assert normalize(normalize(f)) == normalize(f)
+    assert PLMap(f.points) == f
+    assert PLMap(PLMap(f.points).points).points == f.points
 
 
 # ---------------------------------------------------------- preimages
 
 def test_preimage_scans(f1_star):
     assert leftmost_preimage(f1_star, 1) == F(3, 7)
-    assert rightmost_preimage(f1_star, 0) == 0
     assert leftmost_preimage(tent(2), F(1, 2)) == F(1, 4)
-    assert rightmost_preimage(tent(2), F(1, 2)) == F(3, 4)
     assert leftmost_preimage(tent(2), F(1)) == F(1, 2)
     assert leftmost_preimage(identity(), F(1, 3)) == F(1, 3)
     missing = PLMap([(0, 0), (1, F(1, 2))])

@@ -21,7 +21,6 @@ from knaster import (
     lap,
     leftmost_preimage,
     range_on,
-    rightmost_preimage,
     tent,
 )
 from knaster.plmap import tent_of
@@ -79,7 +78,7 @@ def test_matches_reference(pf, pg, extra):
     f, fr = both(pf)
     g, gr = both(pg)
     assert f.points == fr.points
-    assert f.xs == fr.xs
+    assert [x for x, _ in f.points] == fr.xs
     assert repr(f) == repr(fr)
     assert lap(f) == ref.lap(fr)
     xs = probes(fr, extra)
@@ -91,7 +90,6 @@ def test_matches_reference(pf, pg, extra):
                 assert range_on(f, a, b) == ref.range_on(fr, a, b)
     for y in values(fr, extra):
         assert leftmost_preimage(f, y) == ref.leftmost_preimage(fr, y)
-        assert rightmost_preimage(f, y) == ref.rightmost_preimage(fr, y)
     for outer, inner, outer_r, inner_r in ((f, g, fr, gr), (g, f, gr, fr), (f, f, fr, fr)):
         h, hr = compose(outer, inner), ref.compose(outer_r, inner_r)
         assert h.points == hr.points

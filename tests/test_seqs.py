@@ -64,10 +64,24 @@ def test_regroup_const10():
     assert [grouped.nth(1), grouped.nth(2)] == [10, 10]
 
 
+def block_bounds(raw, grouped, levels):
+    """(start, end, product) of each of the first `levels` blocks, 1-based
+    inclusive, found by walking raw.nth until the product equals grouped.nth(j)."""
+    out, end = [], 0
+    for j in range(1, levels + 1):
+        start, product = end + 1, 1
+        while product != grouped.nth(j):
+            end += 1
+            product *= raw.nth(end)
+            assert product <= grouped.nth(j), "a block overshoots its grouped term"
+        out.append((start, end, product))
+    return out
+
+
 def test_regroup_compliant_input_unchanged():
     raw = SeqSpec.from_list([5, 9, 13, 17])
     grouped = regroup(raw, const2, 4)
-    assert grouped.blocks(4) == [(1, 1, 5), (2, 2, 9), (3, 3, 13), (4, 4, 17)]
+    assert block_bounds(raw, grouped, 4) == [(1, 1, 5), (2, 2, 9), (3, 3, 13), (4, 4, 17)]
 
 
 @pytest.mark.parametrize("raw, partner", [
@@ -79,7 +93,7 @@ def test_regroup_compliant_input_unchanged():
 def test_regroup_invariants(raw, partner):
     levels = 10
     grouped = regroup(raw, partner, levels)
-    blocks = grouped.blocks(levels)
+    blocks = block_bounds(raw, grouped, levels)
     # blocks partition a prefix of the raw sequence
     assert blocks[0][0] == 1
     for (_, end0, _), (start1, _, _) in zip(blocks, blocks[1:]):
@@ -96,7 +110,7 @@ def test_regroup_invariants(raw, partner):
         assert check == product
         total *= product
     # total product preserved
-    assert total == raw.prefix_product(grouped.consumed(levels))
+    assert total == raw.prefix_product(blocks[-1][1])
     assert total == grouped.prefix_product(levels)
 
 

@@ -298,13 +298,65 @@ def test_tower_older_format_loads():
     derived, b_prev = [], F(1)
     for lvl in tower.levels:
         derived.append([rat_to_str(x) for x in _fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)])
-        b_prev = lvl.b_self
+        b_prev = F(lvl.b_num, lvl.b_den)
     assert derived == [rec["folds"] for rec in OLDER_TOWER["levels"]]
     for k in (7, 6.0, "6"):
         bad = copy.deepcopy(OLDER_TOWER)
         bad["levels"][2]["k"] = k
         with pytest.raises(ValueError):
             tower_from_obj(bad)
+
+
+READERS = (
+    (tower_from_obj, tower_to_obj(build_tower(c2, SeqSpec.periodic([2], [3]), F(1, 3), 2))),
+    (thread_from_obj, thread_to_obj(Thread(SeqSpec.from_list([2, 3, 5]), (F(1, 2), F(1, 4))))),
+    (natmap_from_obj, natmap_to_obj(NaturalMapSpec(2, (0, 1, 2), c2, SeqSpec.periodic([2], [2])))),
+    (certificate_from_obj, certificate_to_obj(make_certificate(c2, c2, F(0), F(1, 2), 4))),
+)
+DELETED = object()
+JUNK = (None, True, 7, 0.5, "x", [], {})
+
+
+def _json_type(value):
+    return "int" if isinstance(value, int) and not isinstance(value, bool) else type(value)
+
+
+def _damaged(obj, path=()):
+    """(damaged copy, innermost field name, what was done) for each nested
+    key deleted and each nested value replaced by None, a bool, an int, a
+    float, a string, [] or {} of another JSON type than the value it
+    replaces."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        here = path + (key,)
+        name = next(k for k in reversed(here) if isinstance(k, str))
+        for damage in ((DELETED,) if isinstance(obj, dict) else ()) + JUNK:
+            if damage is not DELETED and _json_type(damage) == _json_type(value):
+                continue
+            bad = copy.deepcopy(obj)
+            if damage is DELETED:
+                del bad[key]
+            else:
+                bad[key] = damage
+            label = "deleted" if damage is DELETED else repr(damage)
+            yield bad, name, f"{'.'.join(map(str, here))}: {label}"
+        if isinstance(value, (dict, list)):
+            for inner, inner_name, what in _damaged(value, here):
+                bad = copy.deepcopy(obj)
+                bad[key] = inner
+                yield bad, inner_name, what
+
+
+@pytest.mark.parametrize("reader, good", READERS, ids=[reader.__name__ for reader, _ in READERS])
+def test_readers_name_the_damaged_field(reader, good):
+    reader(copy.deepcopy(good))  # the undamaged object reads
+    seen = 0
+    for bad, name, what in _damaged(good):
+        with pytest.raises(ValueError) as info:
+            reader(bad)
+        assert repr(name) in str(info.value), (what, str(info.value))
+        seen += 1
+    assert seen > 20
 
 
 def test_certificate_roundtrip():

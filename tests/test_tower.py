@@ -35,7 +35,6 @@ from knaster import (
     level_range,
     materialize_level,
     range_on,
-    slot_index,
     tent,
 )
 from knaster.cli import parse_seq
@@ -48,30 +47,40 @@ c2 = SeqSpec.constant(2)
 T_GRID = (F(0), F(1, 3), F(1, 2), F(1))
 
 
-# ------------------------------------------------------------ slot_index
+def b_of(lvl):
+    """The level's leftmost 1-preimage, reduced."""
+    return F(lvl.b_num, lvl.b_den)
+
+
+# --------------------------------------------------------- level slots
+
+def slot(t, j):
+    """The slot build_tower gives level j of t's tower."""
+    return build_tower(c2, c2, t, j).level(j).slot
+
 
 def test_slot_index_examples():
-    assert slot_index(F(2, 5), 5) == 2
-    assert slot_index(F(1), 3) == 2
-    assert slot_index(F(1, 3), 3) == 1
-    assert slot_index(F(0), 9) == 0
+    assert slot(F(2, 5), 5) == 2
+    assert slot(F(1), 3) == 2
+    assert slot(F(1, 3), 3) == 1
+    assert slot(F(0), 9) == 0
 
 
 def test_slot_index_membership():
     rng = random.Random(1)
-    for _ in range(200):
-        j = rng.randint(1, 40)
+    for _ in range(30):
         t = F(rng.randint(0, 840), 840)
-        i = slot_index(t, j)
-        assert 0 <= i < j
-        assert F(i, j) <= t <= F(i + 1, j)
+        for lvl in build_tower(c2, c2, t, 40).levels:
+            i, j = lvl.slot, lvl.j
+            assert 0 <= i < j
+            assert F(i, j) <= t <= F(i + 1, j)
 
 
 def test_slot_index_rejects():
     with pytest.raises(ValueError):
-        slot_index(F(3, 2), 4)
+        build_tower(c2, c2, F(3, 2), 4)
     with pytest.raises(ValueError):
-        slot_index(F(1, 2), 0)
+        build_tower(c2, c2, F(1, 2), 0).level(0)  # the identity has no slot
 
 
 # ---------------------------------------------------------- lift kernel
@@ -214,12 +223,12 @@ def test_tracked_preimages_match_materialized(t):
     for j in range(1, 5):
         f = maps[j]
         lvl = tower.level(j)
-        assert leftmost_preimage(f, 1) == lvl.b_self
+        assert leftmost_preimage(f, 1) == b_of(lvl)
         # next level consumed exactly these: its fold points derived from
-        # b_self are where f_{j+1} takes the values lam/m
+        # that preimage are where f_{j+1} takes the values lam/m
         if j < 4:
             nxt = tower.level(j + 1)
-            folds = _fold_points(nxt.n, nxt.k, nxt.m, F(0), lvl.b_self)
+            folds = _fold_points(nxt.n, nxt.k, nxt.m, F(0), b_of(lvl))
             assert [maps[j + 1](x) for x in folds] == \
                 [F(lam, nxt.m) for lam in range(nxt.m + 1)]
 
@@ -297,7 +306,7 @@ def test_level_range_differential(pair, t, j, data):
     special = [F(0), F(1)]
     if j:
         lvl = tower.level(j)
-        b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
+        b_prev = b_of(tower.level(j - 1)) if j > 1 else F(1)
         special += list(_fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev))
         special += [F(k, lvl.n) for k in range(lvl.n + 1)]
     point = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=1000),
@@ -324,7 +333,7 @@ def test_level_range_deep_differential(target, t, j, data):
     # past the levels that can be materialized
     tower = deep_tower(target, t)
     lvl = tower.level(j)
-    b_prev = tower.level(j - 1).b_self if j > 1 else F(1)
+    b_prev = b_of(tower.level(j - 1)) if j > 1 else F(1)
     special = [F(0), F(1), F(lvl.slot, j), F(lvl.slot + 1, j),
                *_fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)]
     point = st.one_of(st.sampled_from(special),
@@ -346,7 +355,7 @@ def test_tracked_preimages_differential(target, t):
     tower, maps = small_tower(("const:2", target), t)
     for j in range(1, 4):
         lvl = tower.level(j)
-        assert leftmost_preimage(maps[j], 1) == lvl.b_self
+        assert leftmost_preimage(maps[j], 1) == b_of(lvl)
 
 
 def test_level_range_deep_no_recursion_error():
@@ -425,7 +434,7 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
         for lo, hi in pairs:
             assert level_range(tower, lvl.j, lo, hi) == \
                 ref_range.level_range(tower, lvl.j, lo, hi), (lvl.j, lo, hi)
-        b_prev, below = lvl.b_self, lvl
+        b_prev, below = b_of(lvl), lvl
 
 
 def test_leg_pairs_cover_targets_and_parities():
@@ -521,7 +530,7 @@ def test_materialize_level_holds_one_map():
         size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(f4.xs) == 56800
+    assert len(f4.points) == 56800
     assert peak < 1.5 * size, f"peak {peak} bytes for a map of {size} bytes"
 
 
@@ -580,7 +589,7 @@ def test_nonbinary_sequences():
             x = F(rng.randint(0, 419), 420)
             assert eval_level(tower, j, x) == f(x)
         lvl = tower.level(j)
-        assert leftmost_preimage(f, 1) == lvl.b_self
+        assert leftmost_preimage(f, 1) == b_of(lvl)
 
 
 # ------------------------------------------------------------ integer steps vs the Fraction oracle
@@ -597,9 +606,9 @@ def oracle_towers(pair, t):
     raw, target = parse_seq(pair[0]), parse_seq(pair[1])
     tower = build_tower(raw, target, t, ORACLE_DEPTH)
     ref = ref_tower.build_tower(raw, target, t, ORACLE_DEPTH)
-    fields = ("j", "n", "m", "slot", "k", "b_self")
-    assert [tuple(getattr(lvl, f) for f in fields) for lvl in tower.levels] == \
-        [tuple(getattr(lvl, f) for f in fields) for lvl in ref.levels]
+    fields = ("j", "n", "m", "slot", "k")
+    assert [(*(getattr(lvl, f) for f in fields), b_of(lvl)) for lvl in tower.levels] == \
+        [(*(getattr(lvl, f) for f in fields), b_of(lvl)) for lvl in ref.levels]
     # the tracked preimage is kept unreduced over n_1*...*n_j
     for lvl in tower.levels:
         assert lvl.b_den == tower.grouped.prefix_product(lvl.j), lvl.j
@@ -743,7 +752,7 @@ def test_deep_point_range_takes_one_step_a_level():
 def test_tower_levels_keep_one_rational():
     # traced size of a depth-1001 const:2 tower: 3.19 MiB when each level
     # also kept its rightmost 0-preimage, 1.76 MiB with a reduced Fraction
-    # b_self alone, 1.72 MiB with its numerator over n_1*...*n_j
+    # 1-preimage alone, 1.72 MiB with its numerator over n_1*...*n_j
     mib = _float_from_fresh_interpreter(
         "import tracemalloc\n"
         "from knaster import SeqSpec, build_tower\n"
