@@ -10,13 +10,16 @@ Inside a PLMap each breakpoint (x, y) is the reduced integer triple
 points have equal triples. Read as homogeneous coordinates, the line
 through two points and the point where two lines meet are both one
 integer cross product: evaluation meets a segment with a vertical line,
-composition and the preimage scans meet it with a horizontal one, and a
+composition and the preimage scans meet it with a horizontal one. A
 breakpoint is merged away when it lies on the line through its
-neighbours. `compose` and the lift step `tent_lift`, which reads f0 tiled n
-times and never builds f0∘tent(n), map triples to triples, and so does
-`tent_of`, which builds tent(m)∘f in one walk over f: the integer tent step
-`_tent_at` (also the tower's) maps each breakpoint, and each fold k/m a
-segment crosses comes from an integer floor, with no search over tent(m).
+neighbours, in one pass (`_merge`) that every map goes through. `compose`
+and the lift step `tent_lift`, which reads f0 tiled n times and never
+builds f0∘tent(n), map triples to triples, and so do the two walks with
+a tent on one side: `tent_of` builds tent(m)∘f in one walk over f (the
+integer tent step `_tent_at`, also the tower's, maps each breakpoint, and
+each fold k/m a segment crosses comes from an integer floor, with no
+search over tent(m)), and `of_tent` builds f∘tent(n) by tiling f's
+triples n times, with no search over f.
 Fractions appear only at the API boundary (`points`, `__call__`,
 `range_on`, the preimages). The JSON writer and the SVG renderer read
 `triples`, the JSON reader hands integer ratios to `from_ratios`, and
@@ -30,6 +33,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Union
 
 RatLike = Union[Fraction, int, str]
@@ -97,15 +101,23 @@ def _bisect(t, p: int, q: int, right: bool) -> int:
 
 
 def _merge(t) -> tuple:
-    """Drop each breakpoint that lies on the line through its neighbours."""
-    merged = [t[0]]
-    for p in t[1:]:
-        while len(merged) >= 2:
-            a, b, c = _cross(merged[-2], merged[-1])
-            if a * p[0] + b * p[1] + c * p[2]:
-                break
+    """Drop each breakpoint that lies on the line through its neighbours, in
+    one pass: the last two kept points a, b stay in locals, and p lies on
+    their line when the 3x3 determinant of a, b, p is 0. Each such b is
+    popped and p re-checked against the new last two, so a collinear run
+    of any length merges to its two ends. t holds at least two triples."""
+    merged = [t[0], t[1]]
+    (ax, ay, aw), (bx, by, bw) = merged
+    for p in islice(t, 2, None):
+        px, py, pw = p
+        while not ax * (by * pw - bw * py) + ay * (bw * px - bx * pw) + aw * (bx * py - by * px):
             merged.pop()
+            bx, by, bw = ax, ay, aw
+            if len(merged) < 2:
+                break
+            ax, ay, aw = merged[-2]
         merged.append(p)
+        ax, ay, aw, bx, by, bw = bx, by, bw, px, py, pw
     return tuple(merged)
 
 
@@ -298,7 +310,8 @@ def tent_of(m: int, f: PLMap) -> PLMap:
     for p0, p1 in zip(t, t[1:]):
         (X, Y, W), (_, Y1, W1) = p0, p1
         c, U = _tent_at(m, Y, W)
-        pts.append(_reduce((X, U, W)))
+        g = math.gcd(m, X, W)  # U ≡ ±m·Y (mod W) and gcd(X, Y, W) = 1
+        pts.append((X // g, U // g, W // g))
         rise = Y1 * W - Y * W1
         if rise > 0:
             ks = range(c + 1, -(-m * Y1 // W1))
@@ -310,7 +323,26 @@ def tent_of(m: int, f: PLMap) -> PLMap:
             x, _, w = _cross(_cross(p0, p1), (0, m, -k))
             pts.append(_reduce((x, k % 2 * w, w)))
     X, Y, W = t[-1]
-    pts.append(_reduce((X, _tent_at(m, Y, W)[1], W)))
+    g = math.gcd(m, X, W)
+    pts.append((X // g, _tent_at(m, Y, W)[1] // g, W // g))
+    return _from_triples(pts)
+
+
+def of_tent(f: PLMap, n: int) -> PLMap:
+    """f∘tent(n), equal to compose(f, tent(n)): f's triples tiled n times,
+    odd legs reversed, leg by leg (X, Y, W) -> (leg·W + X, n·Y, n·W), or
+    ((leg+1)·W - X, n·Y, n·W) on an odd leg. No point of f is searched for
+    and no segment is cut, since tent(n) sweeps [0, 1] once per leg."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("tent index must be a positive integer")
+    t, pts = f._t, []
+    walks = (t[1:], t[-2::-1])
+    for leg in range(n):
+        odd = leg % 2
+        for X, Y, W in walks[odd] if leg else t:
+            x = (leg + 1) * W - X if odd else leg * W + X
+            g = math.gcd(x, n)  # x ≡ ±X (mod W) and gcd(X, Y, W) = 1
+            pts.append((x // g, n * Y // g, n * W // g))
     return _from_triples(pts)
 
 

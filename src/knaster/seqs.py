@@ -10,7 +10,6 @@ unchanged by regrouping; everything downstream works over the grouped terms.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 
@@ -82,7 +81,7 @@ class GroupedSeq:
 
     Term j is the product of the shortest remaining run of raw terms whose
     product strictly exceeds (partner.nth(j) + 2) * j. Blocks are extended on
-    demand under a lock; already-computed blocks may be read from any thread.
+    demand, so an instance is not for concurrent use.
     """
 
     def __init__(self, raw: SeqSpec, partner: SeqSpec):
@@ -90,21 +89,17 @@ class GroupedSeq:
         self.partner = partner
         self._blocks: list[int] = []  # the grouped terms, products of raw blocks
         self._used = 0  # raw terms the blocks use
-        self._lock = threading.Lock()
 
     def ensure(self, levels: int) -> None:
-        if len(self._blocks) >= levels:
-            return
-        with self._lock:
-            while len(self._blocks) < levels:
-                j = len(self._blocks) + 1
-                bound = (self.partner.nth(j) + 2) * j
-                used, product = self._used, 1
-                while product <= bound:
-                    used += 1
-                    product *= self.raw.nth(used)
-                self._blocks.append(product)
-                self._used = used
+        while len(self._blocks) < levels:
+            j = len(self._blocks) + 1
+            bound = (self.partner.nth(j) + 2) * j
+            used, product = self._used, 1
+            while product <= bound:
+                used += 1
+                product *= self.raw.nth(used)
+            self._blocks.append(product)
+            self._used = used
 
     def nth(self, j: int) -> int:
         if j < 1:

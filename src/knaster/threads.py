@@ -57,11 +57,22 @@ def validate(thread: Thread) -> int | None:
     return None
 
 
+def _unchecked(seq: BondingSeq, coords: tuple[Fraction, ...]) -> Thread:
+    """The Thread over coords built with no check of them."""
+    thread = object.__new__(Thread)
+    object.__setattr__(thread, "seq", seq)
+    object.__setattr__(thread, "coords", coords)
+    return thread
+
+
 def extend(thread: Thread) -> list[Thread]:
-    """All one-step extensions, new coordinate increasing over the preimage fan."""
-    k1 = len(thread.coords)
-    n = thread.seq.nth(k1)
-    return [Thread(thread.seq, thread.coords + (x,))
+    """All one-step extensions, new coordinate increasing over the preimage fan.
+    A child is its parent's coordinates, checked when the parent was built,
+    plus one preimage, which `tent_preimages` keeps in [0, 1]: so no child
+    re-checks its prefix, and a step makes no Fraction compare per inherited
+    coordinate."""
+    n = thread.seq.nth(len(thread.coords))
+    return [_unchecked(thread.seq, thread.coords + (x,))
             for x in tent_preimages(n, thread.coords[-1])]
 
 

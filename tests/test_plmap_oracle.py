@@ -10,6 +10,7 @@ sit exactly at breakpoints, 0 and 1 as well as between them.
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from knaster import (
     range_on,
     tent,
 )
-from knaster.plmap import tent_of
+from knaster.plmap import _merge, _triple, of_tent, tent_of
 
 F = Fraction
 
@@ -199,3 +200,105 @@ def test_tent_of_long_denominator():
            (F(2, 3), F(5, 12)), (F(3, 4), F(0)), (F(1), F(d // 7, d))]
     for m in (1, 2, 5, 12):
         _check_tent_of(m, pts)
+
+
+@st.composite
+def inner_tent_cases(draw):
+    """n in 1..12 and a map with flat runs, values 0, 1/2 and 1, and collinear
+    points left in, so that the tiles meet at 0 or 1 and merge across legs."""
+    n = draw(st.integers(1, 12))
+    xs = sorted(draw(st.sets(unit_rationals().filter(lambda x: 0 < x < 1), max_size=7)))
+    xs = [F(0)] + xs + [F(1)]
+    ys = []
+    for _ in xs:
+        kind = draw(st.sampled_from(["fresh", "half", "repeat", "zero", "one"]))
+        if kind == "half":
+            ys.append(F(1, 2))
+        elif kind in ("zero", "one"):
+            ys.append(F(kind == "one"))
+        elif kind == "repeat" and ys:
+            ys.append(ys[-1])
+        else:
+            ys.append(draw(unit_rationals()))
+    pts = list(zip(xs, ys))
+    for i in sorted(draw(st.sets(st.integers(0, len(pts) - 2), max_size=2)), reverse=True):
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        pts.insert(i + 1, ((x0 + x1) / 2, (y0 + y1) / 2))
+    return n, pts
+
+
+def _check_of_tent(n, pts):
+    f, fr = both(pts)
+    got = of_tent(f, n)
+    assert got == compose(f, tent(n))
+    assert got.points == ref.compose(fr, ref.PLMap(tent(n).points)).points
+
+
+@settings(max_examples=500, deadline=None)
+@given(inner_tent_cases())
+def test_of_tent_matches_compose(case):
+    _check_of_tent(*case)
+
+
+def test_of_tent_long_denominator():
+    d = 10 ** 4400 + 3  # 4,401 digits
+    pts = [(F(0), F(1, d)), (F(1, d), F(1, 2)), (F(1, 3), F(d - 1, d)), (F(1, 2), F(5, 12)),
+           (F(2, 3), F(5, 12)), (F(3, 4), F(0)), (F(1), F(d // 7, d))]
+    for n in (1, 2, 5, 12):
+        _check_of_tent(n, pts)
+
+
+def test_of_tent_rejects_bad_degrees():
+    for n in (0, -1, 2.0):
+        with pytest.raises(ValueError):
+            of_tent(identity(), n)
+
+
+BIG = [2 ** 64 + 13, 2 ** 89 - 1, 3 ** 50]  # denominators past 2^64
+
+
+@st.composite
+def collinear_runs(draw):
+    """Breakpoints with collinear runs of 3 to 6 points, runs at either end
+    included: on a segment from a to b the run adds 1 to 4 points between
+    them, at positions over small or past-2^64 denominators; flat segments
+    make horizontal runs."""
+    den = draw(st.sampled_from([1, 2, 3, 7] + BIG))
+    corners = [(F(0), F(draw(st.integers(0, den)), den))]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["fresh", "flat", "zero", "one"]))
+        y = {"fresh": F(draw(st.integers(0, den)), den), "flat": corners[-1][1],
+             "zero": F(0), "one": F(1)}[kind]
+        corners.append((None, y))
+    xs = sorted(draw(st.sets(st.integers(1, 10 ** 6 - 1), min_size=len(corners) - 2,
+                             max_size=len(corners) - 2)))
+    xs = [F(0)] + [F(x, 10 ** 6) for x in xs] + [F(1)]
+    corners = [(x, y) for x, (_, y) in zip(xs, corners)]
+    pts = [corners[0]]
+    for (x0, y0), (x1, y1) in zip(corners, corners[1:]):
+        run = draw(st.integers(1, 4))
+        lam_den = draw(st.sampled_from([run + 1, 97] + BIG))
+        lams = sorted(draw(st.sets(st.integers(1, lam_den - 1), min_size=run, max_size=run)))
+        for k in lams:
+            lam = F(k, lam_den)
+            pts.append((x0 + lam * (x1 - x0), y0 + lam * (y1 - y0)))
+        pts.append((x1, y1))
+    return pts
+
+
+@settings(max_examples=500, deadline=None)
+@given(collinear_runs())
+def test_merge_matches_fraction_merge(pts):
+    want = ref.PLMap(pts).points
+    assert PLMap(pts).points == want
+    triples = [_triple(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts]
+    assert _merge(triples) == tuple(
+        _triple(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in want)
+
+
+def test_merge_whole_line_and_short_inputs():
+    line = [(F(k, 6), F(k, 6) / (2 ** 64 + 13)) for k in range(7)]
+    assert PLMap(line).points == ref.PLMap(line).points == (line[0], line[-1])
+    flat = [(F(k, 5), F(1)) for k in range(6)]
+    assert PLMap(flat).points == ref.PLMap(flat).points == (flat[0], flat[-1])
+    assert _merge([(0, 0, 1), (1, 1, 1)]) == ((0, 0, 1), (1, 1, 1))

@@ -55,6 +55,33 @@ def test_extend_fans():
     assert [c.coords[-1] for c in extend(one)] == [F(1, 2)]
 
 
+def test_extend_children_equal_checked_threads():
+    grouped = knaster.regroup(c2, c2, 12)
+    for seq in (c2, SeqSpec.periodic([2, 3], [5]), grouped):
+        th = Thread(seq, ("1/3",))
+        for _ in range(10):
+            children = extend(th)
+            for child in children:
+                checked = Thread(seq, child.coords)
+                assert child == checked and hash(child) == hash(checked)
+                assert type(child) is Thread and child.seq is seq
+                assert all(type(x) is Fraction for x in child.coords)
+            th = children[-1]
+
+
+def test_extend_bad_parent_still_raises():
+    # the step past a finite sequence's end
+    short = Thread(SeqSpec.from_list([2, 3]), (F(1, 2), F(1, 4), F(1, 12)))
+    with pytest.raises(knaster.SequenceExhausted):
+        extend(short)
+    # a last coordinate outside [0, 1], forced past the constructor's check,
+    # still fails in tent_preimages
+    forced = Thread(c2, (F(1, 2),))
+    object.__setattr__(forced, "coords", (F(3, 2),))
+    with pytest.raises(ValueError, match="outside"):
+        extend(forced)
+
+
 def test_extend_preimage_property():
     rng = random.Random(11)
     seq = SeqSpec.periodic([2, 3], [5])

@@ -156,10 +156,13 @@ def test_check_conditions_composes_once(monkeypatch):
         calls.append((outer, inner))
         return compose(outer, inner)
 
-    monkeypatch.setattr(knaster.tower, "compose", counting_compose)
+    # condition 2 is of_tent(f0, n) against tent_of(m, f1): no compose at all,
+    # neither from tower (which no longer imports it) nor inside plmap
+    monkeypatch.setattr(knaster.plmap, "compose", counting_compose)
+    assert not hasattr(knaster.tower, "compose")
     spec = LiftSpec(m=4, n=30, q=3, i=1, f0=tent(2))
     assert check_conditions(construct_lift(spec), spec).all_ok
-    assert calls == [(spec.f0, tent(spec.n))]
+    assert calls == []
 
 
 def test_check_conditions_degenerate_m1():
