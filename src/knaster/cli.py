@@ -26,7 +26,7 @@ from .natmap import (
     induced_indices,
     prime_obstruction,
 )
-from .plmap import PLMap, compose, lap, tent, tent_of
+from .plmap import PLMap, compose, lap, tent
 from .seqs import SeqSpec
 from .svg import PlotSpec, render_svg
 from .threads import apply_natmap, apply_tower, extend, validate
@@ -204,7 +204,7 @@ def cmd_lifts(args) -> int:
     _tent_degree(args.m, "--m")
     h = parse_map(getattr(args, "h"))
     found = enumerate_lifts(h, args.m, args.cap)
-    bad = sum(1 for f in found if tent_of(args.m, f) != h)
+    bad = sum(1 for f in found if compose(tent(args.m), f) != h)
     print(f"{len(found)} lift(s), {bad} failed recomposition")
     if args.out:
         _save(args.out, serialize.dumps([serialize.plmap_to_obj(f) for f in found]))
@@ -239,8 +239,8 @@ def cmd_thread_map(args) -> int:
     if args.natmap is not None:
         image = apply_natmap(serialize.natmap_from_obj(_load_json(args.natmap)), thread)
     else:
-        # tower threads live over the grouped source sequence; the thread file
-        # must carry those grouped terms (thread extend emits them that way)
+        # tower threads live over the tower's grouped source sequence: the
+        # thread file carries it as a "grouped" sequence or as its terms
         tower = serialize.tower_from_obj(_load_json(args.tower))
         image = apply_tower(tower, thread)
     print(", ".join(serialize.rat_to_str(x) for x in image.coords))

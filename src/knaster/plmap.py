@@ -14,12 +14,12 @@ composition and the preimage scans meet it with a horizontal one. A
 breakpoint is merged away when it lies on the line through its
 neighbours, in one pass (`_merge`) that every map goes through. `compose`
 and the lift step `tent_lift`, which reads f0 tiled n times and never
-builds f0∘tent(n), map triples to triples, and so do the two walks with
-a tent on one side: `tent_of` builds tent(m)∘f in one walk over f (the
-integer tent step `_tent_at`, also the tower's, maps each breakpoint, and
+builds f0∘tent(n), map triples to triples. `compose` knows a tent operand
+by its value and walks it itself: f∘tent(n) tiles f's triples n times,
+with no search over f, and tent(m)∘f is one walk over f, where the
+integer tent step `_tent_at`, also the tower's, maps each breakpoint and
 each fold k/m a segment crosses comes from an integer floor, with no
-search over tent(m)), and `of_tent` builds f∘tent(n) by tiling f's
-triples n times, with no search over f.
+search over tent(m).
 Fractions appear only at the API boundary (`points`, `__call__`,
 `range_on`, the preimages). The JSON writer and the SVG renderer read
 `triples`, the JSON reader hands integer ratios to `from_ratios`, and
@@ -265,11 +265,17 @@ def tent(n: int) -> PLMap:
     """The n-fold stretch-and-fold map t -> wave_eval(n*t)."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("tent index must be a positive integer")
-    return PLMap([(Fraction(k, n), ONE if k % 2 else ZERO) for k in range(n + 1)])
+    return _from_triples([_reduce((k, k % 2 * n, n)) for k in range(n + 1)])
 
 
 def compose(outer: PLMap, inner: PLMap) -> PLMap:
-    """Exact composition outer(inner(x)), refined at all slope changes."""
+    """Exact composition outer(inner(x)), refined at all slope changes. A tent
+    operand, inner first, is tiled (`_of_tent`) or walked once (`_tent_of`);
+    only a map of k segments through (1/k, 1) is compared with tent(k)."""
+    for f in (inner, outer):
+        k = len(f._t) - 1
+        if f._t[1] == (1, k, k) and f._t == tent(k)._t:
+            return _of_tent(outer, k) if f is inner else _tent_of(k, inner)
     ot, it = outer._t, inner._t
     pts = []
     for p0, p1 in zip(it, it[1:]):
@@ -295,8 +301,8 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
     return _from_triples(pts)
 
 
-def tent_of(m: int, f: PLMap) -> PLMap:
-    """tent(m)∘f, equal to compose(tent(m), f), in one walk over f's triples.
+def _tent_of(m: int, f: PLMap) -> PLMap:
+    """tent(m)∘f, m >= 1, in one walk over f's triples.
 
     Each breakpoint goes through the tent step. A segment from height y0 to
     y1 crosses the folds k/m strictly between them, k from floor(m*y0) + 1
@@ -304,8 +310,6 @@ def tent_of(m: int, f: PLMap) -> PLMap:
     falling segment), and each adds the point where the segment meets
     y = k/m, of value k % 2. A lift crosses few folds inside its segments,
     so the segment's line is made only at a crossing."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError("tent index must be a positive integer")
     t, pts = f._t, []
     for p0, p1 in zip(t, t[1:]):
         (X, Y, W), (_, Y1, W1) = p0, p1
@@ -328,13 +332,11 @@ def tent_of(m: int, f: PLMap) -> PLMap:
     return _from_triples(pts)
 
 
-def of_tent(f: PLMap, n: int) -> PLMap:
-    """f∘tent(n), equal to compose(f, tent(n)): f's triples tiled n times,
-    odd legs reversed, leg by leg (X, Y, W) -> (leg·W + X, n·Y, n·W), or
-    ((leg+1)·W - X, n·Y, n·W) on an odd leg. No point of f is searched for
-    and no segment is cut, since tent(n) sweeps [0, 1] once per leg."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("tent index must be a positive integer")
+def _of_tent(f: PLMap, n: int) -> PLMap:
+    """f∘tent(n), n >= 1: f's triples tiled n times, odd legs reversed,
+    leg by leg (X, Y, W) -> (leg·W + X, n·Y, n·W), or ((leg+1)·W - X, n·Y,
+    n·W) on an odd leg. No point of f is searched for and no segment is
+    cut, since tent(n) sweeps [0, 1] once per leg."""
     t, pts = f._t, []
     walks = (t[1:], t[-2::-1])
     for leg in range(n):

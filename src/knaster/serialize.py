@@ -12,6 +12,8 @@ is not a map object holding a list of [x, y] breakpoints is rejected with a
 message naming what is wrong. So is a file of another kind handed to the
 tower, thread, natural map or certificate reader: "not a tower: ...", and
 a field missing or mistyped deeper in is named: "level 1: missing field 'n'".
+A thread over a regrouped sequence stores it as {"kind": "grouped", "raw":
+..., "partner": ...}, so the file can be extended past its coordinates.
 A tower file holds only its inputs: the sequences, t, the depth and, per
 level, the integers n, m, slot and k, which the loader checks against
 the tower it rebuilds.
@@ -145,13 +147,24 @@ def natmap_from_obj(obj: dict) -> NaturalMapSpec:
 
 # ---------------------------------------------------------------- Thread
 
+def _bonding_from_obj(obj: dict) -> SeqSpec | GroupedSeq:
+    """A thread's sequence: a SeqSpec, or a regrouped one, which only a thread
+    carries (a tower stores its raw sequence and regroups it on load)."""
+    if isinstance(obj, dict) and obj.get("kind") == "grouped":
+        return GroupedSeq(_read(obj, "raw", seqspec_from_obj),
+                          _read(obj, "partner", seqspec_from_obj))
+    return seqspec_from_obj(obj)
+
+
 def thread_to_obj(thread: Thread) -> dict:
     seq = thread.seq
     if isinstance(seq, GroupedSeq):
-        # the wire format carries a plain sequence: emit the grouped terms
-        seq = SeqSpec.from_list([seq.nth(i) for i in range(1, len(thread.coords))])
+        seq_obj = {"kind": "grouped", "raw": seqspec_to_obj(seq.raw),
+                   "partner": seqspec_to_obj(seq.partner)}
+    else:
+        seq_obj = seqspec_to_obj(seq)
     return {
-        "seq": seqspec_to_obj(seq),
+        "seq": seq_obj,
         "coords": [rat_to_str(x) for x in thread.coords],
     }
 
@@ -159,7 +172,7 @@ def thread_to_obj(thread: Thread) -> dict:
 def thread_from_obj(obj: dict) -> Thread:
     _fields(obj, "thread", ("seq", "coords"))
     return Thread(
-        seq=_read(obj, "seq", seqspec_from_obj),
+        seq=_read(obj, "seq", _bonding_from_obj),
         coords=_read(obj, "coords", _rats),
     )
 

@@ -18,9 +18,8 @@ subinterval per level for each extreme, on integer numerators through
 plmap's tent step `_tent_at`, and reduces one Fraction at the end; a value
 f_j(x) is the extreme over the point [x, x].
 
-`check_conditions` checks a lift's commuting square with no `compose`:
-`of_tent(f0, n)`, f0 tiled n times, against `tent_of(m, f1)`, one walk over
-f1's breakpoints.
+`check_conditions` checks a lift's commuting square as the paper states it,
+`compose(f0, tent(n)) == compose(tent(m), f1)`.
 """
 
 from __future__ import annotations
@@ -36,13 +35,12 @@ from .plmap import (
     RatLike,
     _tent_at,
     as_rat,
+    compose,
     leftmost_preimage,
-    of_tent,
     range_on,
     tent,
     tent_branch,
     tent_lift,
-    tent_of,
     tent_preimages,
     wave_eval,
 )
@@ -146,13 +144,13 @@ def _report(fixes_origin: bool, commutes: bool | None, rng, m: int, q: int,
 def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
     """Exact check of the five lift conclusions for f1 against spec.
 
-    Condition 2 compares of_tent(f0, n), f0 tiled n times, with
-    tent_of(m, f1), the walk over f1's breakpoints and the folds of tent(m)
-    they cross; neither side reads the lift's construction (`tent_lift`
-    tiles f0 with its own arithmetic, so a tiling fault cannot cancel)."""
+    Condition 2 is the square f0∘tent(n) = tent(m)∘f1, both sides through
+    `compose`, which tiles f0 and walks f1 once; neither side reads the
+    lift's construction (`tent_lift` tiles f0 with its own arithmetic, so
+    a tiling fault cannot cancel)."""
     f0 = spec.f0
     fixes_origin = f0(ZERO) != ZERO or f1(ZERO) == ZERO
-    commutes = of_tent(f0, spec.n) == tent_of(spec.m, f1)
+    commutes = compose(f0, tent(spec.n)) == compose(tent(spec.m), f1)
     return _report(fixes_origin, commutes, lambda lo, hi: range_on(f1, lo, hi),
                    spec.m, spec.q, spec.i)
 

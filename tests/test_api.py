@@ -36,8 +36,10 @@ def test_public_names_are_pinned():
 def test_removed_names_stay_removed():
     # each has a replacement: Fraction, PLMap(points), no rightmost scan,
     # [x for x, _ in f.points], first_incompatible(...) is None, no block
-    # bounds, Fraction(b_num, b_den), and the slot stored on each level
+    # bounds, Fraction(b_num, b_den), the slot stored on each level, and
+    # compose, which walks a tent operand itself
     for owner, name in ((plmap, "Rat"), (plmap, "normalize"), (plmap, "rightmost_preimage"),
+                        (plmap, "tent_of"), (plmap, "of_tent"),
                         (plmap.PLMap, "xs"), (natmap, "is_compatible"),
                         (seqs.GroupedSeq, "blocks"), (seqs.GroupedSeq, "consumed"),
                         (tower.LevelData, "b_self"), (tower, "slot_index"),

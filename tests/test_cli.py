@@ -9,7 +9,8 @@ from fractions import Fraction
 import knaster
 from knaster.cli import _parser, build_parser, main
 from knaster.serialize import dumps, plmap_from_obj, rat_from_str, rat_to_str, thread_to_obj
-from knaster import PLMap, SeqSpec, Thread, build_tower, compose, eval_level, tent
+from knaster import (PLMap, SeqSpec, Thread, build_tower, compose, endpoint, eval_level, extend,
+                     regroup, tent)
 
 F = Fraction
 
@@ -357,6 +358,22 @@ def test_thread_commands(tmp_path, capsys):
                "--out", str(ext_path)) == 0
     children = json.loads(ext_path.read_text())
     assert [c["coords"][-1] for c in children] == ["1/8", "7/8"]
+
+
+def test_thread_extend_over_a_regrouped_sequence(tmp_path, capsys):
+    # a depth-4 thread over the grouped terms 8, 16, 16, 32, 32, ... written
+    # to a file can be extended past its coordinates
+    thread = endpoint(regroup(SeqSpec.constant(2), SeqSpec.constant(2), 6), 0)
+    for _ in range(4):
+        thread = extend(thread)[-1]
+    th_path, out_path = tmp_path / "thread.json", tmp_path / "children.json"
+    th_path.write_text(dumps(thread_to_obj(thread)))
+    assert run("thread", "extend", "--thread", str(th_path), "--out", str(out_path)) == 0
+    want = extend(thread)
+    assert len(want) == 32
+    assert json.loads(out_path.read_text()) == [thread_to_obj(c) for c in want]
+    assert capsys.readouterr().out.splitlines()[:32] == [
+        ", ".join(rat_to_str(x) for x in c.coords) for c in want]
 
 
 def test_thread_map_with_tower(tmp_path):

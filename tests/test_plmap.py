@@ -72,8 +72,16 @@ def test_tent_seven():
 
 
 def test_tent_rejects_zero():
-    with pytest.raises(ValueError):
-        tent(0)
+    for n in (0, -1, 2.0):
+        with pytest.raises(ValueError):
+            tent(n)
+
+
+def test_tent_equals_fraction_built_map():
+    # tent(n) is built from integer triples; the map through the Fraction
+    # points (k/n, k % 2) is the same map
+    for n in list(range(1, 301)) + [99_991]:
+        assert tent(n) == PLMap([(F(k, n), k % 2) for k in range(n + 1)]), n
 
 
 def test_tent_cache_is_bounded():

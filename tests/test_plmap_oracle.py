@@ -8,9 +8,9 @@ sit exactly at breakpoints, 0 and 1 as well as between them.
 """
 
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +24,9 @@ from knaster import (
     range_on,
     tent,
 )
-from knaster.plmap import _merge, _triple, of_tent, tent_of
+from knaster import plmap
+from knaster.plmap import _merge, _of_tent, _tent_of, _triple
+from knaster.serialize import plmap_from_obj
 
 F = Fraction
 
@@ -183,7 +185,7 @@ def fold_cases(draw):
 
 def _check_tent_of(m, pts):
     f, fr = both(pts)
-    got = tent_of(m, f)
+    got = _tent_of(m, f)
     assert got == compose(tent(m), f)
     assert got.points == ref.compose(ref.PLMap(tent(m).points), fr).points
 
@@ -229,7 +231,7 @@ def inner_tent_cases(draw):
 
 def _check_of_tent(n, pts):
     f, fr = both(pts)
-    got = of_tent(f, n)
+    got = _of_tent(f, n)
     assert got == compose(f, tent(n))
     assert got.points == ref.compose(fr, ref.PLMap(tent(n).points)).points
 
@@ -248,10 +250,90 @@ def test_of_tent_long_denominator():
         _check_of_tent(n, pts)
 
 
-def test_of_tent_rejects_bad_degrees():
-    for n in (0, -1, 2.0):
-        with pytest.raises(ValueError):
-            of_tent(identity(), n)
+@contextmanager
+def _counted_walks():
+    """The (walk, first argument's segment count or degree, second's) of each
+    tent walk run inside the block."""
+    calls, saved = [], (plmap._of_tent, plmap._tent_of)
+
+    def counting(name, walk):
+        def run(a, b):
+            calls.append((name, a, b))
+            return walk(a, b)
+        return run
+    plmap._of_tent, plmap._tent_of = counting("_of_tent", saved[0]), counting("_tent_of", saved[1])
+    try:
+        yield calls
+    finally:
+        plmap._of_tent, plmap._tent_of = saved
+
+
+def _tent_pts(k):
+    return [(F(i, k), F(i % 2)) for i in range(k + 1)]
+
+
+@st.composite
+def tent_operand_cases(draw):
+    """(outer, inner) with a tent on one side, on both, identity on either
+    side, or a near-tent: a map of k segments through (0, 0) and (1/k, 1)
+    with a later fold point moved, off 0 or 1 or sideways. Each tent is the
+    cached tent(k), PLMap of its points or read from a JSON object."""
+    def tent_like(k):
+        how = draw(st.sampled_from(["cached", "points", "json"]))
+        if how == "cached":
+            return tent(k)
+        if how == "points":
+            return PLMap(_tent_pts(k))
+        return plmap_from_obj({"breakpoints": [[str(x), str(y)] for x, y in _tent_pts(k)]})
+
+    def near_tent():
+        k = draw(st.integers(2, 12))
+        pts = _tent_pts(k)
+        i = draw(st.integers(2, k))
+        if i < k and draw(st.booleans()):
+            lam = draw(st.sampled_from([F(1, 3), F(2, 3), F(7, 9973)]))
+            pts[i] = (F(i - 1, k) + lam * 2 / k, pts[i][1])
+        else:
+            pts[i] = (pts[i][0], draw(unit_rationals().filter(lambda y: 0 < y < 1)))
+        return PLMap(pts)
+
+    other = PLMap(draw(raw_points()))
+    kind = draw(st.sampled_from(["inner", "outer", "both", "id", "near"]))
+    if kind == "inner":
+        pair = (other, tent_like(draw(st.integers(1, 12))))
+    elif kind == "outer":
+        pair = (tent_like(draw(st.integers(1, 12))), other)
+    elif kind == "both":
+        pair = (tent_like(draw(st.integers(1, 12))), tent_like(draw(st.integers(1, 12))))
+    elif kind == "id":
+        pair = (identity(), other)
+    else:
+        pair = (near_tent(), other)
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+def _tent_degree(f):
+    """k when f equals tent(k), else None: read off the map's value."""
+    k = len(f.points) - 1
+    return k if f == PLMap(_tent_pts(k)) else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(tent_operand_cases())
+def test_compose_takes_the_tent_walks(case):
+    outer, inner = case
+    with _counted_walks() as calls:
+        got = compose(outer, inner)
+    assert got.points == ref.compose(ref.PLMap(outer.points), ref.PLMap(inner.points)).points
+    # an inner tent is tiled, else an outer tent walks the inner map once,
+    # else (near-tents included) the general walk runs
+    k_in, k_out = _tent_degree(inner), _tent_degree(outer)
+    if k_in is not None:
+        assert calls == [("_of_tent", outer, k_in)]
+    elif k_out is not None:
+        assert calls == [("_tent_of", k_out, inner)]
+    else:
+        assert calls == []
 
 
 BIG = [2 ** 64 + 13, 2 ** 89 - 1, 3 ** 50]  # denominators past 2^64

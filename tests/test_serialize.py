@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import ref_serialize
 from knaster import (
+    GroupedSeq,
     NaturalMapSpec,
     PLMap,
     SeqSpec,
@@ -246,13 +248,29 @@ def test_thread_roundtrip():
         thread_from_obj({**thread_to_obj(th), "coords": ["1/2", "3/2", "1/8"]})
 
 
-def test_grouped_thread_serializes_terms():
+def test_grouped_thread_keeps_its_sequence():
     tower = build_tower(c2, c2, F(0), 3)
     th = Thread(tower.grouped, (F(0), F(0), F(0), F(0)))
     obj = thread_to_obj(th)
-    assert obj["seq"] == {"kind": "list", "items": [8, 16, 16]}
-    again = thread_from_obj(obj)
-    assert again.coords == th.coords
+    grouped = {"kind": "grouped", "raw": {"kind": "constant", "n": 2},
+               "partner": {"kind": "constant", "n": 2}}
+    assert obj["seq"] == grouped
+    again = thread_from_obj(json.loads(dumps(obj)))
+    assert isinstance(again.seq, GroupedSeq) and again.coords == th.coords
+    assert [again.seq.nth(j) for j in range(1, 8)] == [8, 16, 16, 32, 32, 32, 32]
+    # files that carry the grouped terms as a list still load
+    listed = thread_from_obj({"seq": {"kind": "list", "items": [8, 16, 16]},
+                              "coords": obj["coords"]})
+    assert listed.coords == th.coords
+    with pytest.raises(ValueError, match=re.escape("field 'seq': missing field 'partner'")):
+        thread_from_obj({**obj, "seq": {"kind": "grouped", "raw": grouped["raw"]}})
+    # only a thread's sequence may be grouped
+    unknown = "field 'kind': unknown sequence kind 'grouped'"
+    with pytest.raises(ValueError, match=re.escape(f"field 'rawN': {unknown}")):
+        tower_from_obj({**tower_to_obj(tower), "rawN": grouped})
+    spec = natmap_to_obj(NaturalMapSpec(9, (0, 1, 2, 3), c2, SeqSpec.constant(3)))
+    with pytest.raises(ValueError, match=re.escape(f"field 'N': {unknown}")):
+        natmap_from_obj({**spec, "N": grouped})
 
 
 def test_tower_roundtrip_and_reverification():

@@ -151,18 +151,20 @@ def test_check_conditions_nudged_breakpoint():
 
 def test_check_conditions_composes_once(monkeypatch):
     calls = []
+    for name in ("_of_tent", "_tent_of"):
+        walk = getattr(knaster.plmap, name)
 
-    def counting_compose(outer, inner):
-        calls.append((outer, inner))
-        return compose(outer, inner)
+        def counting(a, b, name=name, walk=walk):
+            calls.append((name, a, b))
+            return walk(a, b)
+        monkeypatch.setattr(knaster.plmap, name, counting)
 
-    # condition 2 is of_tent(f0, n) against tent_of(m, f1): no compose at all,
-    # neither from tower (which no longer imports it) nor inside plmap
-    monkeypatch.setattr(knaster.plmap, "compose", counting_compose)
-    assert not hasattr(knaster.tower, "compose")
+    # condition 2 is compose(f0, tent(n)) against compose(tent(m), f1): each
+    # side takes its tent walk once, so the general walk never runs
     spec = LiftSpec(m=4, n=30, q=3, i=1, f0=tent(2))
-    assert check_conditions(construct_lift(spec), spec).all_ok
-    assert calls == []
+    f1 = construct_lift(spec)
+    assert check_conditions(f1, spec).all_ok
+    assert calls == [("_of_tent", tent(2), 30), ("_tent_of", 4, f1)]
 
 
 def test_check_conditions_degenerate_m1():
