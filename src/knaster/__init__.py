@@ -23,7 +23,6 @@ from .plmap import (
     compose,
     identity,
     lap,
-    leftmost_preimage,
     range_on,
     tent,
     tent_preimages,

@@ -10,18 +10,19 @@ Inside a PLMap each breakpoint (x, y) is the reduced integer triple
 points have equal triples. Read as homogeneous coordinates, the line
 through two points and the point where two lines meet are both one
 integer cross product: evaluation meets a segment with a vertical line,
-composition and the preimage scans meet it with a horizontal one. A
-breakpoint is merged away when it lies on the line through its
-neighbours, in one pass (`_merge`) that every map goes through. `compose`
-and the lift step `tent_lift`, which reads f0 tiled n times and never
-builds f0∘tent(n), map triples to triples. `compose` knows a tent operand
-by its value and walks it itself: f∘tent(n) tiles f's triples n times,
-with no search over f, and tent(m)∘f is one walk over f, where the
-integer tent step `_tent_at`, also the tower's, maps each breakpoint and
-each fold k/m a segment crosses comes from an integer floor, with no
-search over tent(m).
+composition meets it with a horizontal one. A breakpoint is merged away
+when it lies on the line through its neighbours, in one pass (`_merge`)
+that every map goes through. `compose` and the lift step `tent_lift`,
+which reads f0 tiled n times and never builds f0∘tent(n), map triples to
+triples; the lift turns from one inverse branch of tent(m) to the next at
+the index of f0's first zero or first one, with no point searched for and
+no Fraction built. `compose` knows a tent operand by its value and walks
+it itself: f∘tent(n) tiles f's triples n times, with no search over f,
+and tent(m)∘f is one walk over f, where the integer tent step `_tent_at`,
+also the tower's, maps each breakpoint and each fold k/m a segment
+crosses comes from an integer floor, with no search over tent(m).
 Fractions appear only at the API boundary (`points`, `__call__`,
-`range_on`, the preimages). The JSON writer and the SVG renderer read
+`range_on`, `tent_preimages`). The JSON writer and the SVG renderer read
 `triples`, the JSON reader hands integer ratios to `from_ratios`, and
 `repr` spells the triples through `_int_to_str` at any length, so none of
 them builds a Fraction per breakpoint.
@@ -348,20 +349,34 @@ def _of_tent(f: PLMap, n: int) -> PLMap:
     return _from_triples(pts)
 
 
-def tent_lift(f0: PLMap, n: int, m: int, switches: Iterable[Fraction]) -> PLMap:
-    """x -> tent_branch(m, c, f0(tent(n)(x))), c the number of the increasing
-    switches at or left of x, where f0∘tent(n) is 0 or 1 (see `construct_lift`).
-    f0∘tent(n) is never built: each tent leg reads f0's triples, odd legs reversed."""
-    sw = [(s.numerator, s.denominator) for s in switches]
-    t, pts, c = f0._t, [], 0
+def tent_lift(f0: PLMap, n: int, m: int, k: int) -> PLMap:
+    """The lift x -> tent_branch(m, c, f0(tent(n)(x))), so tent(m)∘lift =
+    f0∘tent(n), read off f0's triples tiled n times, odd legs reversed, with
+    no f0∘tent(n) built. Legs up to k take branch c = 0 and legs from k + m
+    on c = m - 1. Leg k + lam, 0 < lam < m, turns from branch lam - 1 to lam
+    at the tiled copy of f0's first zero (lam even) or first one (lam odd),
+    both breakpoints since f0 stays in [0, 1]: from that index on, which on
+    an odd leg, walked backwards, means at or before it. Both branches give
+    lam/m at the turn, so a turn at a leg's end may be taken by either leg."""
+    t, pts, last = f0._t, [], len(f0._t) - 1
+    zero = next((s for s, (_, Y, _) in enumerate(t) if Y == 0), None)
+    one = next((s for s, (_, Y, W) in enumerate(t) if Y == W), None)
+    if zero is None or one is None:
+        raise ValueError("f0 must map [0, 1] onto itself")
     walks = (t[1:], t[-2::-1])
     for leg in range(n):
-        odd = leg % 2
-        for X, Y, W in walks[odd] if leg else t:
-            x, w, y = (leg + 1) * W - X if odd else leg * W + X, n * W, n * Y
-            while c < len(sw) and sw[c][0] * w <= x * sw[c][1]:
-                c += 1
-            pts.append(_reduce((m * x, (c + 1) * w - y if c % 2 else c * w + y, m * w)))
+        odd, lam = leg % 2, leg - k
+        s = one if lam % 2 else zero  # the turn's index, on a turning leg
+        if not 0 < lam < m:
+            runs = ((0 if lam <= 0 else m - 1, walks[odd] if leg else t),)
+        elif odd:  # as in walks, no run repeats the point ending the leg before
+            runs = ((lam - 1, t[last - 1:s:-1]), (lam, t[min(s, last - 1)::-1]))
+        else:
+            runs = ((lam - 1, t[1:s]), (lam, t[s or 1:]))
+        for c, run in runs:
+            for X, Y, W in run:
+                x, w, y = (leg + 1) * W - X if odd else leg * W + X, n * W, n * Y
+                pts.append(_reduce((m * x, (c + 1) * w - y if c % 2 else c * w + y, m * w)))
     return _from_triples(pts)
 
 
@@ -394,22 +409,6 @@ def range_on(f: PLMap, a: RatLike, b: RatLike) -> tuple[Fraction, Fraction]:
         elif y * hi[1] > hi[0] * w:
             hi = (y, w)
     return Fraction(*lo), Fraction(*hi)
-
-
-def leftmost_preimage(f: PLMap, y: RatLike) -> Fraction | None:
-    """Smallest x with f(x) = y, or None when y is not attained."""
-    y = as_rat(y)
-    p, q, t = y.numerator, y.denominator, f._t
-    for p0, p1 in zip(t, t[1:]):
-        s0 = p0[1] * q - p * p0[2]
-        if s0 == 0:
-            return Fraction(p0[0], p0[2])
-        if s0 * (p1[1] * q - p * p1[2]) <= 0:
-            x, _, w = _cross(_cross(p0, p1), (0, q, -p))
-            return Fraction(x, w)
-    if t[-1][1] * q == p * t[-1][2]:
-        return ONE
-    return None
 
 
 def tent_preimages(n: int, y: RatLike) -> list[Fraction]:

@@ -36,7 +36,6 @@ from .plmap import (
     _tent_at,
     as_rat,
     compose,
-    leftmost_preimage,
     range_on,
     tent,
     tent_branch,
@@ -81,35 +80,20 @@ class LiftSpec:
                 f"(m+2)q <= n guarantees the fit")
 
 
-def _fold_points(n: int, k: int, m: int, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
-    """Points t_0 < ... < t_m with tent(n)(t_lam) = a (lam even) or b (lam odd),
-    t_lam inside the leg [(k+lam)/n, (k+lam+1)/n]."""
-    pts = tuple(tent_branch(n, k + lam, b if lam % 2 else a) for lam in range(m + 1))
-    if any(u >= v for u, v in zip(pts, pts[1:])):
-        raise ValueError(f"fold points {pts} do not increase strictly")
-    if not (ZERO <= pts[0] and pts[-1] <= ONE):
-        raise ValueError(f"fold points {pts} leave [0, 1]")
-    return pts
-
-
 def construct_lift(spec: LiftSpec) -> PLMap:
     """The lift f1 with tent(m)∘f1 = f0∘tent(n), sweeping inside [i/q, (i+1)/q].
 
-    Deterministic choices: a and b are the leftmost preimages of 0 and 1
-    under f0, and k is the least nonnegative integer with k/n >= i/q. Between
-    fold points t_lam the lift is the lam-th inverse branch of tent(m) applied
-    to g = f0∘tent(n), read by `tent_lift` off f0 tiled n times; g is never
-    built. The t_lam need no breakpoints of their own: g(t_lam) is 0 or 1, so
-    t_lam is a breakpoint of g, given the value lam/m, or inside a segment
-    where g is constant 0 or 1, on which branches lam-1 and lam agree.
+    Deterministic choices: k is the least nonnegative integer with k/n >= i/q,
+    and on tent leg k + lam, 0 < lam < m, the lift turns from inverse branch
+    lam-1 of tent(m) to branch lam where that leg's copy of f0 first reaches
+    0 (lam even) or 1 (lam odd). `tent_lift` applies the branches to
+    g = f0∘tent(n) read off f0 tiled n times; g is never built. A turn t_lam
+    needs no breakpoint of its own: g(t_lam) is 0 or 1, so t_lam is a
+    breakpoint of g, given the value lam/m, or inside a segment where g is
+    constant 0 or 1, on which branches lam-1 and lam agree.
     """
     spec.validate()
-    a, b = leftmost_preimage(spec.f0, ZERO), leftmost_preimage(spec.f0, ONE)
-    if a is None or b is None:
-        raise ValueError("f0 must map [0, 1] onto itself")
-    k = -(-spec.n * spec.i // spec.q)
-    folds = _fold_points(spec.n, k, spec.m, a, b)
-    return tent_lift(spec.f0, spec.n, spec.m, folds[1:spec.m])
+    return tent_lift(spec.f0, spec.n, spec.m, -(-spec.n * spec.i // spec.q))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 This is the Fraction implementation that preceded the integer-triple core,
 kept verbatim as the oracle for the differential tests in
 `test_plmap_oracle.py`. It covers construction (validation and the
-collinear merge), evaluation, `compose`, `lap`, `range_on` and both
-preimage scans.
+collinear merge), evaluation, `compose`, `lap` and `range_on`.
+`leftmost_preimage` has no library counterpart: the lift and tower tests
+use it to find where a map first reaches a value; it reads only
+`f.points`, so it takes a library map as well as a reference one.
 """
 
 from __future__ import annotations

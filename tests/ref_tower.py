@@ -28,6 +28,14 @@ def _tent_branch(n: int, c: int, y: Fraction) -> Fraction:
     return Fraction((c + 1) * den - num, n * den)
 
 
+def fold_points(n: int, k: int, m: int, a: Fraction, b: Fraction) -> tuple[Fraction, ...]:
+    """The points t_0 < ... < t_m of a lift of f0 through tent(m) over tent(n):
+    t_lam on tent leg k + lam, where tent(n) maps it to a (lam even) or b
+    (lam odd), f0's leftmost preimages of 0 and 1. The lift takes the value
+    lam/m at t_lam and turns there from inverse branch lam-1 to lam."""
+    return tuple(_tent_branch(n, k + lam, b if lam % 2 else a) for lam in range(m + 1))
+
+
 def _branch(lvl: LevelData, b_prev: Fraction, c: int, u: Fraction) -> int:
     """Branch index of lvl at x on tent leg c = floor(n*x), u = tent(n)(x)."""
     d = c - lvl.k

@@ -8,8 +8,8 @@ from knaster import distinguish, natmap, plmap, seqs, tower
 
 PUBLIC = {
     # plmap
-    "ONE", "ZERO", "PLMap", "as_rat", "compose", "identity", "lap", "leftmost_preimage",
-    "range_on", "tent", "tent_preimages", "wave_eval",
+    "ONE", "ZERO", "PLMap", "as_rat", "compose", "identity", "lap", "range_on",
+    "tent", "tent_preimages", "wave_eval",
     # seqs
     "GroupedSeq", "SeqSpec", "SequenceExhausted", "regroup",
     # tower

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import knaster
 from knaster.cli import _parser, build_parser, main
-from knaster.serialize import dumps, plmap_from_obj, rat_from_str, rat_to_str, thread_to_obj
+from knaster.serialize import (dumps, plmap_from_obj, rat_from_str, rat_to_str, thread_to_obj,
+                               tower_from_obj)
 from knaster import (PLMap, SeqSpec, Thread, build_tower, compose, endpoint, eval_level, extend,
                      regroup, tent)
 
@@ -120,6 +121,15 @@ def test_tower_build_rejects_loose_t(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tower_build_over_a_finite_list(tmp_path):
+    # eight 2s regroup to 8 and 16, enough for depth 2: the same tower as const:2
+    out = tmp_path / "t.json"
+    assert run("tower", "build", "--N", "list:2,2,2,2,2,2,2,2", "--M", "const:2",
+               "--t", "0", "--depth", "2", "--out", str(out)) == 0
+    tower = tower_from_obj(json.loads(out.read_text()))
+    assert tower.levels == build_tower(SeqSpec.constant(2), SeqSpec.constant(2), 0, 2).levels
+
+
 def test_tower_round_trip_at_depth_1300(tmp_path, capsys):
     # a level's fold rationals outgrow int-to-str's 4300-digit limit before
     # depth 1300, so only a file without them can be written at that depth
@@ -202,13 +212,17 @@ def test_breakpoint_counts_build_points_once(tmp_path, monkeypatch, capsys):
     assert f"({len(f2.points)} breakpoints, lap " in out
 
 
-def test_materialize_budget_env(tmp_path, monkeypatch):
+def test_materialize_budget_env(tmp_path, monkeypatch, capsys):
     tower_path = tmp_path / "tower.json"
     run("tower", "build", "--N", "const:2", "--M", "const:2",
         "--t", "0", "--depth", "4", "--out", str(tower_path))
     monkeypatch.setenv("KNASTER_LAP_BUDGET", "10")
     assert run("tower", "materialize", "--tower", str(tower_path),
                "--level", "4", "--out", str(tmp_path / "f.json")) == 2
+    monkeypatch.setenv("KNASTER_LAP_BUDGET", "0")
+    assert run("lift", "--m", "3", "--n", "7", "--q", "1", "--i", "0",
+               "--f0", "id", "--out", str(tmp_path / "f1.json")) == 2
+    assert "KNASTER_LAP_BUDGET must be positive" in capsys.readouterr().err
 
 
 def test_distinguish_and_verify(tmp_path, capsys):
@@ -279,6 +293,10 @@ def test_natmap_check(capsys):
     assert run("natmap", "check", "--N", "const:6", "--M", "const:2",
                "--i0", "1", "--jseq", "0,1,2,3") == 0
     assert "advisory" not in capsys.readouterr().out
+    # one index is no map: the check needs a depth of at least one
+    assert run("natmap", "check", "--N", "const:2", "--M", "const:3",
+               "--i0", "9", "--jseq", "0") == 2
+    assert "need depth >= 1" in capsys.readouterr().err
 
 
 def test_natmap_check_huge_prime_term(capsys):
@@ -388,6 +406,21 @@ def test_thread_map_with_tower(tmp_path):
                "--tower", str(tower_path)) == 0
     # exactly one of --natmap/--tower is required
     assert run("thread", "map", "--thread", str(th_path)) == 2
+
+
+def test_thread_map_writes_an_inconsistent_image(tmp_path, capsys):
+    tower_path = tmp_path / "tower.json"
+    run("tower", "build", "--N", "const:2", "--M", "const:2",
+        "--t", "0", "--depth", "2", "--out", str(tower_path))
+    capsys.readouterr()
+    # tent(8)(1/5) = 2/5, not 1/3: the thread, and so its image, is inconsistent
+    th = Thread(SeqSpec.from_list([8, 16]), (F(1, 3), F(1, 5), F(2, 7)))
+    th_path, img_path = tmp_path / "thread.json", tmp_path / "img.json"
+    th_path.write_text(dumps(thread_to_obj(th)))
+    assert run("thread", "map", "--thread", str(th_path), "--tower", str(tower_path),
+               "--out", str(img_path)) == 1
+    assert "image thread INCONSISTENT at i=1" in capsys.readouterr().out
+    assert json.loads(img_path.read_text())["coords"] == ["1/3", "4/5", "9/14"]
 
 
 def test_thread_map_with_natmap(tmp_path, capsys):

@@ -163,6 +163,20 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(replace(cert, s=cert.t), c2, c2)
 
 
+def test_verify_rejects_gap_and_window():
+    cert = make_certificate(c2, c2, F(0), F(1, 2), 4)
+    n_j = 2 * cert.q / cert.witness
+    assert (cert.j, n_j) == (7, 32)
+    # s - t must exceed 3/j strictly
+    assert not verify_certificate(replace(cert, s=cert.t + F(3, cert.j)), c2, c2)
+    # q and witness = 2q/n_j moved together: 1/8 and 5/16 leave the window
+    # [(slot+1)/j, (slot+2)/j] = [1/7, 2/7]; 1/4 stays inside and verifies
+    for dq, ok in ((-1, False), (2, False), (1, True)):
+        q = cert.q + dq
+        moved = replace(cert, q=q, witness=F(2 * q, 32))
+        assert verify_certificate(moved, c2, c2) is ok, moved.witness
+
+
 def test_verify_rejects_forged_level_in_bounded_time():
     # p = m_1*...*m_{j-1} >= 2^(j-1), so p's bit length caps j before the
     # verifier multiplies out j-1 terms: j = 10^5 took 0.32 s without the cap

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import ref_lift
 import ref_plmap as ref
+import ref_tower
 from knaster import LiftSpec, PLMap, compose, construct_lift, tent
-from knaster.tower import _fold_points
 
 F = Fraction
 
@@ -70,10 +70,36 @@ def test_switch_points_on_and_off_breakpoints():
     # f0 is flat at 0 on [0, 1/3]: g = f0∘tent(5) peaks at 1 on t_1 = 1/5 and
     # is flat at 0 around t_2 = 2/5, so only t_1 is a breakpoint of g
     pts = [(F(0), F(0)), (F(1, 3), F(0)), (F(1), F(1))]
-    switches = _fold_points(5, 0, 3, F(0), F(1))[1:3]
+    switches = ref_tower.fold_points(5, 0, 3, F(0), F(1))[1:3]
     g_xs = {x for x, _ in compose(PLMap(pts), tent(5)).points}
     assert [t in g_xs for t in switches] == [True, False]
     got, want = _both(pts, 3, 5, 1, 0)
     assert got.points == want.points
     assert (F(2, 5), F(2, 3)) not in got.points  # merged: both branches give 2/3
     assert got(F(2, 5)) == F(2, 3)
+
+
+EDGE_F0 = (
+    # first one at index 0, first zero at the last index: every turning leg
+    # splits its walk at the walk's first or last triple
+    [(F(0), F(1)), (F(1, 3), F(1, 4)), (F(2, 3), F(3, 4)), (F(1), F(0))],
+    # flat runs at 0 and at 1, one of them starting at index 0
+    [(F(0), F(0)), (F(1, 5), F(0)), (F(2, 5), F(1)), (F(3, 5), F(1)), (F(4, 5), F(1, 3)),
+     (F(1), F(0))],
+    [(F(0), F(1)), (F(1, 4), F(1)), (F(1, 2), F(0)), (F(3, 4), F(0)), (F(1), F(1, 2))],
+)
+
+
+def test_lift_matches_reference_at_edge_turns():
+    # m = 1..6 with k = ceil(n*i/q) of both parities, so turns of both kinds
+    # fall on even and on odd legs
+    for pts in EDGE_F0:
+        for m in range(1, 7):
+            parities = set()
+            for q in (1, 2, 3):
+                for i in range(q):
+                    for n in range((m + 2) * q, (m + 2) * q + 4):
+                        parities.add(-(-n * i // q) % 2)
+                        got, want = _both(pts, m, n, q, i)
+                        assert got.points == want.points, (pts, m, n, q, i)
+            assert parities == {0, 1}

@@ -10,7 +10,6 @@ from knaster import (
     compose,
     identity,
     lap,
-    leftmost_preimage,
     range_on,
     tent,
     tent_preimages,
@@ -275,15 +274,6 @@ def test_normalize_idempotent(f):
 
 
 # ---------------------------------------------------------- preimages
-
-def test_preimage_scans(f1_star):
-    assert leftmost_preimage(f1_star, 1) == F(3, 7)
-    assert leftmost_preimage(tent(2), F(1, 2)) == F(1, 4)
-    assert leftmost_preimage(tent(2), F(1)) == F(1, 2)
-    assert leftmost_preimage(identity(), F(1, 3)) == F(1, 3)
-    missing = PLMap([(0, 0), (1, F(1, 2))])
-    assert leftmost_preimage(missing, 1) is None
-
 
 def test_tent_preimages_fan():
     assert tent_preimages(2, F(1, 2)) == [F(1, 4), F(3, 4)]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ref_serialize
+import ref_tower
 from knaster import (
     GroupedSeq,
     NaturalMapSpec,
@@ -37,7 +38,6 @@ from knaster.serialize import (
     tower_from_obj,
     tower_to_obj,
 )
-from knaster.tower import _fold_points
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -315,7 +315,7 @@ def test_tower_older_format_loads():
     # the older file's fold points are the ones the rebuilt tower derives
     derived, b_prev = [], F(1)
     for lvl in tower.levels:
-        derived.append([rat_to_str(x) for x in _fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)])
+        derived.append([rat_to_str(x) for x in ref_tower.fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)])
         b_prev = F(lvl.b_num, lvl.b_den)
     assert derived == [rec["folds"] for rec in OLDER_TOWER["levels"]]
     for k in (7, 6.0, "6"):

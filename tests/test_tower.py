@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knaster
+import ref_plmap
 import ref_range
 import ref_tower
 from knaster import (
@@ -30,7 +31,6 @@ from knaster import (
     eval_level,
     identity,
     lap,
-    leftmost_preimage,
     construct_lift,
     level_range,
     materialize_level,
@@ -39,7 +39,7 @@ from knaster import (
 )
 from knaster.cli import parse_seq
 from knaster.plmap import wave_eval
-from knaster.tower import _branch, _fold_points, _switch
+from knaster.tower import _branch, _switch
 
 F = Fraction
 c2 = SeqSpec.constant(2)
@@ -113,9 +113,10 @@ def test_lift_kernel_preconditions():
         construct_lift(LiftSpec(m=2, n=9, q=2, i=2, f0=identity()))
     with pytest.raises(ValueError):
         construct_lift(LiftSpec(m=0, n=9, q=2, i=1, f0=identity()))
-    not_onto = PLMap([(0, 0), (1, F(1, 2))])
-    with pytest.raises(ValueError):
-        construct_lift(LiftSpec(m=2, n=8, q=1, i=0, f0=not_onto))
+    # f0 must reach 0 and 1: the lift turns where f0 first does
+    for not_onto in (PLMap([(0, 0), (1, F(1, 2))]), PLMap([(0, F(1, 2)), (1, 1)])):
+        with pytest.raises(ValueError, match="onto"):
+            construct_lift(LiftSpec(m=2, n=8, q=1, i=0, f0=not_onto))
 
 
 def test_lift_kernel_window_fit_beyond_paper_bound():
@@ -180,7 +181,7 @@ def test_build_tower_desk_level1():
     lvl = tower.level(1)
     assert (lvl.n, lvl.m, lvl.slot, lvl.k) == (8, 2, 0, 0)
     # level 1 folds over the identity: odd fold points map to b_prev = 1
-    folds = _fold_points(lvl.n, lvl.k, lvl.m, F(0), F(1))
+    folds = ref_tower.fold_points(lvl.n, lvl.k, lvl.m, F(0), F(1))
     assert folds == (F(0), F(1, 8), F(1, 4))
     assert [eval_level(tower, 1, t) for t in folds] == [F(0), F(1, 2), F(1)]
 
@@ -228,12 +229,12 @@ def test_tracked_preimages_match_materialized(t):
     for j in range(1, 5):
         f = maps[j]
         lvl = tower.level(j)
-        assert leftmost_preimage(f, 1) == b_of(lvl)
+        assert ref_plmap.leftmost_preimage(f, 1) == b_of(lvl)
         # next level consumed exactly these: its fold points derived from
         # that preimage are where f_{j+1} takes the values lam/m
         if j < 4:
             nxt = tower.level(j + 1)
-            folds = _fold_points(nxt.n, nxt.k, nxt.m, F(0), b_of(lvl))
+            folds = ref_tower.fold_points(nxt.n, nxt.k, nxt.m, F(0), b_of(lvl))
             assert [maps[j + 1](x) for x in folds] == \
                 [F(lam, nxt.m) for lam in range(nxt.m + 1)]
 
@@ -312,7 +313,7 @@ def test_level_range_differential(pair, t, j, data):
     if j:
         lvl = tower.level(j)
         b_prev = b_of(tower.level(j - 1)) if j > 1 else F(1)
-        special += list(_fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev))
+        special += list(ref_tower.fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev))
         special += [F(k, lvl.n) for k in range(lvl.n + 1)]
     point = st.one_of(st.fractions(min_value=0, max_value=1, max_denominator=1000),
                       st.sampled_from(special))
@@ -340,7 +341,7 @@ def test_level_range_deep_differential(target, t, j, data):
     lvl = tower.level(j)
     b_prev = b_of(tower.level(j - 1)) if j > 1 else F(1)
     special = [F(0), F(1), F(lvl.slot, j), F(lvl.slot + 1, j),
-               *_fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)]
+               *ref_tower.fold_points(lvl.n, lvl.k, lvl.m, F(0), b_prev)]
     point = st.one_of(st.sampled_from(special),
                       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6))
     a = data.draw(point)
@@ -360,7 +361,7 @@ def test_tracked_preimages_differential(target, t):
     tower, maps = small_tower(("const:2", target), t)
     for j in range(1, 4):
         lvl = tower.level(j)
-        assert leftmost_preimage(maps[j], 1) == b_of(lvl)
+        assert ref_plmap.leftmost_preimage(maps[j], 1) == b_of(lvl)
 
 
 def test_level_range_deep_no_recursion_error():
@@ -486,16 +487,6 @@ def test_wide_target_level_conditions():
     assert elapsed < 1.0, f"level-400 conditions took {elapsed:.2f} s"
 
 
-def test_fold_points_reject_bad_arguments():
-    # k + m + 1 > n pushes the last fold point past 1
-    with pytest.raises(ValueError):
-        _fold_points(4, 3, 2, F(0), F(1))
-    # a = b = 1 on an even leg puts t_0 and t_1 both at (k+1)/n
-    with pytest.raises(ValueError):
-        _fold_points(8, 2, 2, F(1), F(1))
-    assert _fold_points(8, 0, 2, F(0), F(1)) == (F(0), F(1, 8), F(2, 8))
-
-
 def test_tower_is_onto_at_every_level():
     tower = build_tower(c2, c2, F(5, 8), 7)
     for j in range(1, 8):
@@ -594,7 +585,7 @@ def test_nonbinary_sequences():
             x = F(rng.randint(0, 419), 420)
             assert eval_level(tower, j, x) == f(x)
         lvl = tower.level(j)
-        assert leftmost_preimage(f, 1) == b_of(lvl)
+        assert ref_plmap.leftmost_preimage(f, 1) == b_of(lvl)
 
 
 # ------------------------------------------------------------ integer steps vs the Fraction oracle
@@ -676,6 +667,29 @@ def test_tower_does_no_fraction_arithmetic(pair, monkeypatch):
     assert switches, "no interval was cut at a switch point"
     assert built.levels == tower.levels
     assert ranges == [ref_range.level_range(tower, j, lo, hi) for j, lo, hi in queries]
+
+
+def test_construct_lift_does_no_fraction_arithmetic(f1_star, monkeypatch):
+    # a lift turns from branch to branch at the index of f0's first zero or
+    # first one; the Fraction fold points that located the turns cost an
+    # addition and a division each
+    starts_at_one = PLMap([(0, 1), (F(1, 3), F(1, 4)), (F(2, 3), F(3, 4)), (1, 0)])
+    specs = [LiftSpec(m=m, n=n, q=q, i=i, f0=f0)
+             for f0 in (identity(), tent(2), f1_star, starts_at_one)
+             for m in range(1, 7) for q in range(1, 4) for i in range(q)
+             for n in ((m + 2) * q, (m + 2) * q + 5)]
+    tower = build_tower(c2, c2, F(13, 37), 3)
+    calls = []
+    for name in FRACTION_OPS:
+        monkeypatch.setattr(F, name, lambda *args, _op=getattr(F, name), _name=name:
+                            calls.append(_name) or _op(*args))
+    lifts = [construct_lift(spec) for spec in specs]
+    f3 = materialize_level(tower, 3)
+    monkeypatch.undo()
+    assert calls == []
+    assert all(check_conditions(f1, spec).all_ok for f1, spec in zip(lifts, specs))
+    lvl = tower.level(3)
+    assert compose(materialize_level(tower, 2), tent(lvl.n)) == compose(tent(lvl.m), f3)
 
 
 def _float_from_fresh_interpreter(code: str) -> float:
