@@ -17,6 +17,8 @@ import ref_lift
 import ref_plmap as ref
 import ref_tower
 from knaster import LiftSpec, PLMap, compose, construct_lift, tent
+from knaster.plmap import tent_lift
+from raw_walks import check_raw
 
 F = Fraction
 
@@ -51,6 +53,8 @@ def onto_points(draw):
 
 def _both(pts, m, n, q, i):
     got = construct_lift(LiftSpec(m=m, n=n, q=q, i=i, f0=PLMap(pts)))
+    # the lift step hands on its triples with x increasing strictly
+    assert check_raw(tent_lift, PLMap(pts), n, m, -(-n * i // q)) == got
     return got, ref_lift.construct_lift(m, n, q, i, ref.PLMap(pts))
 
 

@@ -26,6 +26,7 @@ from knaster import (
 from knaster import plmap
 from knaster.plmap import _merge, _of_tent, _tent_of, _triple
 from knaster.serialize import plmap_from_obj
+from raw_walks import check_raw
 
 F = Fraction
 
@@ -87,7 +88,7 @@ def test_matches_reference(pf, pg, extra):
             if a <= b:
                 assert range_on(f, a, b) == ref.range_on(fr, a, b)
     for outer, inner, outer_r, inner_r in ((f, g, fr, gr), (g, f, gr, fr), (f, f, fr, fr)):
-        h, hr = compose(outer, inner), ref.compose(outer_r, inner_r)
+        h, hr = check_raw(compose, outer, inner), ref.compose(outer_r, inner_r)
         assert h.points == hr.points
         assert lap(h) == ref.lap(hr)
         assert h == PLMap(hr.points) and hash(h) == hash(PLMap(hr.points))
@@ -178,7 +179,7 @@ def fold_cases(draw):
 
 def _check_tent_of(m, pts):
     f, fr = both(pts)
-    got = _tent_of(m, f)
+    got = check_raw(_tent_of, m, f)
     assert got == compose(tent(m), f)
     assert got.points == ref.compose(ref.PLMap(tent(m).points), fr).points
 
@@ -224,7 +225,7 @@ def inner_tent_cases(draw):
 
 def _check_of_tent(n, pts):
     f, fr = both(pts)
-    got = _of_tent(f, n)
+    got = check_raw(_of_tent, f, n)
     assert got == compose(f, tent(n))
     assert got.points == ref.compose(fr, ref.PLMap(tent(n).points)).points
 
@@ -241,6 +242,32 @@ def test_of_tent_long_denominator():
            (F(2, 3), F(5, 12)), (F(3, 4), F(0)), (F(1), F(d // 7, d))]
     for n in (1, 2, 5, 12):
         _check_of_tent(n, pts)
+
+
+# Maps at the edges of the walks' local merging: flat first and last
+# segments (each joint of f∘tent(n) merges); breakpoints on the folds 1/3
+# and 2/3 of tent(3) and tent(6) that pass through, turn with unequal
+# slopes and turn with equal ones; and constant maps.
+EDGE_MAPS = (
+    [(F(0), F(1, 3)), (F(1, 4), F(1, 3)), (F(1, 2), F(1)), (F(3, 4), F(1, 2)), (F(1), F(1, 2))],
+    [(F(0), F(0)), (F(1, 3), F(1, 3)), (F(1, 2), F(2, 3)), (F(3, 4), F(1, 3)), (F(1), F(2, 3))],
+    [(F(0), F(0)), (F(1, 3), F(2, 3)), (F(2, 3), F(0)), (F(1), F(1, 3))],
+    [(F(0), F(1, 2)), (F(1), F(1, 2))],
+    [(F(0), F(0)), (F(1), F(0))],
+    [(F(0), F(1)), (F(1), F(1))],
+)
+
+
+def test_walks_at_merge_edges():
+    maps = [PLMap(pts) for pts in EDGE_MAPS]
+    for f, pts in zip(maps, EDGE_MAPS):
+        for k in range(1, 7):
+            _check_tent_of(k, pts)
+            _check_of_tent(k, pts)
+        for g in maps + [identity(), tent(3)]:
+            for outer, inner in ((f, g), (g, f)):
+                want = ref.compose(ref.PLMap(outer.points), ref.PLMap(inner.points))
+                assert check_raw(compose, outer, inner).points == want.points
 
 
 @contextmanager
