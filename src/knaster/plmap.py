@@ -10,17 +10,19 @@ Inside a PLMap each breakpoint (x, y) is the reduced integer triple
 points have equal triples. Read as homogeneous coordinates, the line
 through two points and the point where two lines meet are both one
 integer cross product: evaluation meets a segment with a vertical line,
-composition meets it with a horizontal one. A breakpoint is merged away
-when it lies on the line through its neighbours, in one pass (`_merge`)
-that every map goes through. `compose` and the lift step `tent_lift`,
-which reads f0 tiled n times and never builds f0∘tent(n), map triples to
-triples; the lift turns from one inverse branch of tent(m) to the next at
-the index of f0's first zero or first one, with no point searched for and
-no Fraction built. `compose` knows a tent operand by its value and walks
-it itself: f∘tent(n) tiles f's triples n times, with no search over f,
-and tent(m)∘f is one walk over f, where the integer tent step `_tent_at`,
-also the tower's, maps each breakpoint and each fold k/m a segment
-crosses comes from an integer floor, with no search over tent(m).
+composition meets it with a horizontal one. A breakpoint on the line
+through its neighbours is merged away, in one pass (`_merge`) over
+untrusted input and the general `compose` walk; each tent walk knows
+where its points can line up and checks only there. `compose` and the
+lift step `tent_lift`, which reads f0 tiled n times and never builds
+f0∘tent(n), map triples to triples; the lift turns from one inverse
+branch of tent(m) to the next at the index of f0's first zero or first
+one, with no point searched for and no Fraction built. `compose` knows
+a tent operand by its value and walks it itself: f∘tent(n) tiles f's
+triples n times, with no search over f, and tent(m)∘f is one walk over
+f, where the integer tent step `_tent_at`, also the tower's, maps each
+breakpoint and each fold k/m a segment crosses comes from an integer
+floor, with no search over tent(m).
 Fractions appear only at the API boundary (`points`, `__call__`,
 `range_on`, `tent_preimages`). The JSON writer and the SVG renderer read
 `triples`, the JSON reader hands integer ratios to `from_ratios`, and
@@ -42,7 +44,7 @@ RatLike = Union[Fraction, int, str]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 TENT_CACHE_SIZE = 256  # above every workload's set of tent degrees (at most ~150)
-_RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")  # a canonical rational
+_RAT_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")  # a canonical rational, fullmatched
 
 
 def as_rat(x: RatLike) -> Fraction:
@@ -99,6 +101,12 @@ def _bisect(t, p: int, q: int, right: bool) -> int:
         else:
             hi = mid
     return lo
+
+
+def _collinear(a, b, p) -> bool:
+    """Whether p lies on the line through a and b: the 3x3 determinant is 0."""
+    (ax, ay, aw), (bx, by, bw), (px, py, pw) = a, b, p
+    return not ax * (by * pw - bw * py) + ay * (bw * px - bx * pw) + aw * (bx * py - by * px)
 
 
 def _merge(t) -> tuple:
@@ -159,7 +167,7 @@ def _rat_parts(text: str) -> tuple[int, int]:
     anything but "p/q" in lowest terms, or "p" alone when q = 1, is rejected."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    match = _RAT_RE.match(text)
+    match = _RAT_RE.fullmatch(text)  # not match and "$", which passes a final newline
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
     sign, digits, den_digits = match.groups()
@@ -299,7 +307,7 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
             pts.append(_reduce((x * w, v * wx, wx * w)))
     _, v, w = outer._at(it[-1][1], it[-1][2])
     pts.append(_reduce((w, v, w)))
-    return _from_triples(pts)
+    return _from_triples(_merge(pts))  # a flat stretch of outer can merge anywhere
 
 
 def _tent_of(m: int, f: PLMap) -> PLMap:
@@ -310,7 +318,11 @@ def _tent_of(m: int, f: PLMap) -> PLMap:
     up to ceil(m*y1) - 1 (from ceil(m*y0) - 1 down to floor(m*y1) + 1 on a
     falling segment), and each adds the point where the segment meets
     y = k/m, of value k % 2. A lift crosses few folds inside its segments,
-    so the segment's line is made only at a crossing."""
+    so the segment's line is made only at a crossing.
+
+    Nothing merges: tent(m) is affine between folds, so a breakpoint of f
+    keeps its corner, also on a fold where f turns (both segments on one
+    side), and a fold that f passes through, at a breakpoint or not, turns."""
     t, pts = f._t, []
     for p0, p1 in zip(t, t[1:]):
         (X, Y, W), (_, Y1, W1) = p0, p1
@@ -333,15 +345,28 @@ def _tent_of(m: int, f: PLMap) -> PLMap:
     return _from_triples(pts)
 
 
+def _flat_ends(t) -> tuple[bool, bool]:
+    """Whether the first and the last segment of the triples t are flat."""
+    (_, y0, w0), (_, y1, w1), (_, y2, w2), (_, y3, w3) = t[0], t[1], t[-2], t[-1]
+    return y0 * w1 == y1 * w0, y2 * w3 == y3 * w2
+
+
 def _of_tent(f: PLMap, n: int) -> PLMap:
     """f∘tent(n), n >= 1: f's triples tiled n times, odd legs reversed,
     leg by leg (X, Y, W) -> (leg·W + X, n·Y, n·W), or ((leg+1)·W - X, n·Y,
     n·W) on an odd leg. No point of f is searched for and no segment is
-    cut, since tent(n) sweeps [0, 1] once per leg."""
+    cut, since tent(n) sweeps [0, 1] once per leg.
+
+    A leg is an affine image of f, so canonical; where legs meet, f's end
+    segment meets its mirror image, and the joint is dropped exactly when
+    that segment is flat: the last one before an odd leg, the first before
+    an even one. A constant f gives two points."""
     t, pts = f._t, []
-    walks = (t[1:], t[-2::-1])
+    walks, flat = (t[1:], t[-2::-1]), _flat_ends(t)
     for leg in range(n):
         odd = leg % 2
+        if leg and flat[odd]:
+            pts.pop()
         for X, Y, W in walks[odd] if leg else t:
             x = (leg + 1) * W - X if odd else leg * W + X
             g = math.gcd(x, n)  # x ≡ ±X (mod W) and gcd(X, Y, W) = 1
@@ -357,15 +382,24 @@ def tent_lift(f0: PLMap, n: int, m: int, k: int) -> PLMap:
     at the tiled copy of f0's first zero (lam even) or first one (lam odd),
     both breakpoints since f0 stays in [0, 1]: from that index on, which on
     an odd leg, walked backwards, means at or before it. Both branches give
-    lam/m at the turn, so a turn at a leg's end may be taken by either leg."""
-    t, pts, last = f0._t, [], len(f0._t) - 1
+    lam/m at the turn, so a turn at a leg's end may be taken by either leg.
+
+    A run of one branch over one leg is an affine image of f0, so only a
+    leg joint or a turn can line up with its neighbours. A joint between
+    runs of one branch does exactly when f0's end segment there is flat,
+    and goes as in `_of_tent`; only the m - 1 turns are checked, at the
+    second run's first point and the one before it, where a guard may
+    have put a turn on a joint."""
+    t, pts, at, last = f0._t, [], [], len(f0._t) - 1
     zero = next((s for s, (_, Y, _) in enumerate(t) if Y == 0), None)
     one = next((s for s, (_, Y, W) in enumerate(t) if Y == W), None)
     if zero is None or one is None:
         raise ValueError("f0 must map [0, 1] onto itself")
-    walks = (t[1:], t[-2::-1])
+    walks, flat = (t[1:], t[-2::-1]), _flat_ends(t)
     for leg in range(n):
         odd, lam = leg % 2, leg - k
+        if leg and flat[odd]:
+            pts.pop()
         s = one if lam % 2 else zero  # the turn's index, on a turning leg
         if not 0 < lam < m:
             runs = ((0 if lam <= 0 else m - 1, walks[odd] if leg else t),)
@@ -374,16 +408,25 @@ def tent_lift(f0: PLMap, n: int, m: int, k: int) -> PLMap:
         else:
             runs = ((lam - 1, t[1:s]), (lam, t[s or 1:]))
         for c, run in runs:
+            if c == lam > 0:
+                at += len(pts) - 1, len(pts)
             for X, Y, W in run:
                 x, w, y = (leg + 1) * W - X if odd else leg * W + X, n * W, n * Y
                 pts.append(_reduce((m * x, (c + 1) * w - y if c % 2 else c * w + y, m * w)))
-    return _from_triples(pts)
+    return _from_triples(pts, at)
 
 
-def _from_triples(t) -> PLMap:
-    """The PLMap on valid reduced triples t, merged but not re-checked."""
+def _from_triples(t, at=()) -> PLMap:
+    """The PLMap on valid reduced triples t, x increasing strictly, not
+    re-checked. A t[i] on the line through t[i - 1] and t[i + 1] is dropped,
+    looked for only at the indices in at, where the caller knows it can
+    occur. Each is judged by its neighbours in t, so a collinear run loses
+    its inner points, as in `_merge`."""
+    drop = {i for i in at if 0 < i < len(t) - 1 and _collinear(*t[i - 1:i + 2])}
+    if drop:
+        t = [p for i, p in enumerate(t) if i not in drop]
     f = object.__new__(PLMap)
-    f._t = _merge(t)
+    f._t = tuple(t)
     return f
 
 

@@ -3,8 +3,8 @@
 Rationals are serialized as "p/q" in lowest terms ("p" alone when q = 1),
 at any length, and parsing is strict: non-reduced fractions, a spelled-out
 denominator of 1, negative zero, zero or negative denominators, leading
-zeros and any other junk are rejected, as are out-of-range values wherever
-the carrying structure constrains them.
+zeros, a final newline and any other junk are rejected, as are out-of-range
+values wherever the carrying structure constrains them.
 Integers are JSON integers; floats, strings and booleans are rejected.
 A map is written from its integer triples (X, Y, W) and read back as integer
 ratios, so neither direction builds a Fraction per breakpoint; a file that
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .distinguish import Certificate
 from .natmap import NaturalMapSpec
@@ -250,6 +251,28 @@ def certificate_from_obj(obj: dict) -> Certificate:
     )
 
 
+def _map_text(obj) -> str | None:
+    """dumps(obj) for a map object, exactly {"breakpoints": [[str, str], ...]}
+    with at least one breakpoint: one f-string a breakpoint, quoted as
+    json.dumps quotes; None for any other object."""
+    if type(obj) is not dict or len(obj) != 1 or type(pts := obj.get("breakpoints")) is not list:
+        return None
+    lines = []
+    for p in pts:
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not str or type(p[1]) is not str:
+            return None
+        lines.append(f"    [\n      {_quote(p[0])},\n      {_quote(p[1])}\n    ]")
+    if not lines:
+        return None
+    lines[0] = '{\n  "breakpoints": [\n' + lines[0]  # no copy of the whole text
+    lines[-1] += "\n  ]\n}\n"
+    return ",\n".join(lines)
+
+
 def dumps(obj: dict | list) -> str:
-    """Deterministic JSON text (fixed key order, two-space indent)."""
-    return json.dumps(obj, indent=2) + "\n"
+    """Deterministic JSON text (fixed key order, two-space indent): that of
+    json.dumps(obj, indent=2), plus a newline. An indent selects json's
+    pure-Python encoder, so a map object, whose layout is fixed, is
+    spelled by `_map_text` instead."""
+    text = _map_text(obj)
+    return json.dumps(obj, indent=2) + "\n" if text is None else text

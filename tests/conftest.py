@@ -2,6 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+# the raw-order checks assert outside a test module: rewrite them as pytest
+# does a test's, so that they still run, and explain, under python -O
+pytest.register_assert_rewrite("raw_walks")
+
 from knaster import LiftSpec, PLMap, identity, construct_lift
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from knaster.plmap import PLMap, _digits_to_int, _int_to_str, as_rat
 
-_RAT_RE = re.compile(r"^(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
+_RAT_RE = re.compile(r"(-?)(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -28,7 +28,7 @@ def rat_to_str(x: Fraction) -> str:
 def rat_from_str(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
-    match = _RAT_RE.match(text)
+    match = _RAT_RE.fullmatch(text)
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
     sign, digits, den_digits = match.groups()

@@ -91,6 +91,9 @@ EDGE_F0 = (
     [(F(0), F(0)), (F(1, 5), F(0)), (F(2, 5), F(1)), (F(3, 5), F(1)), (F(4, 5), F(1, 3)),
      (F(1), F(0))],
     [(F(0), F(1)), (F(1, 4), F(1)), (F(1, 2), F(0)), (F(3, 4), F(0)), (F(1), F(1, 2))],
+    # slopes -2 and 2 at the first zero: a lift turning there runs straight
+    # through the turn, which merges
+    [(F(0), F(1)), (F(1, 2), F(0)), (F(1), F(1))],
 )
 
 

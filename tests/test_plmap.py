@@ -135,7 +135,8 @@ def test_rational_strings_share_the_wire_grammar():
     big = "1/" + "7" * 5000  # past the default int-from-str digit limit
     assert plmap.as_rat(big) == F(1, (10 ** 5000 - 1) // 9 * 7)
     # the spellings Fraction(str) also takes are rejected, as in the JSON files
-    for text in ("0.5", "2/4", "1e-1000000", " 1/3", "1/1", "-0", "+1", "1_000", "3/0"):
+    for text in ("0.5", "2/4", "1e-1000000", " 1/3", "1/1", "-0", "+1", "1_000", "3/0",
+                 "1/3\n", "2\n"):
         with pytest.raises(ValueError):
             plmap.as_rat(text)
 

@@ -245,11 +245,14 @@ def test_of_tent_long_denominator():
 
 
 # Maps at the edges of the walks' local merging: flat first and last
-# segments (each joint of f∘tent(n) merges); breakpoints on the folds 1/3
-# and 2/3 of tent(3) and tent(6) that pass through, turn with unequal
-# slopes and turn with equal ones; and constant maps.
+# segments, together and alone (the joints of f∘tent(n) there merge);
+# breakpoints on the folds 1/3 and 2/3 of tent(3) and tent(6) that pass
+# through, turn with unequal slopes and turn with equal ones; and constant
+# maps.
 EDGE_MAPS = (
     [(F(0), F(1, 3)), (F(1, 4), F(1, 3)), (F(1, 2), F(1)), (F(3, 4), F(1, 2)), (F(1), F(1, 2))],
+    [(F(0), F(1, 3)), (F(1, 4), F(1, 3)), (F(1), F(1))],
+    [(F(0), F(0)), (F(1, 2), F(1)), (F(1), F(1))],
     [(F(0), F(0)), (F(1, 3), F(1, 3)), (F(1, 2), F(2, 3)), (F(3, 4), F(1, 3)), (F(1), F(2, 3))],
     [(F(0), F(0)), (F(1, 3), F(2, 3)), (F(2, 3), F(0)), (F(1), F(1, 3))],
     [(F(0), F(1, 2)), (F(1), F(1, 2))],

@@ -16,12 +16,14 @@ from knaster import (
     PLMap,
     SeqSpec,
     Thread,
+    as_rat,
     build_tower,
     make_certificate,
     materialize_level,
     tent,
 )
 from knaster.serialize import (
+    _map_text,
     certificate_from_obj,
     certificate_to_obj,
     dumps,
@@ -79,6 +81,9 @@ def test_rat_strings_past_int_str_limit():
     " 1/2",     # whitespace
     "a/b",
     "",
+    "1/3\n",   # a final newline
+    "2\n",
+    "0\n",
 ])
 def test_rat_rejects(bad):
     with pytest.raises(ValueError):
@@ -170,7 +175,9 @@ def _outcome(read, obj):
 def _check_wire(f: PLMap) -> dict:
     obj = plmap_to_obj(f)
     assert obj == ref_serialize.plmap_to_obj(f)
-    back = json.loads(dumps(obj))
+    text = dumps(obj)
+    assert text == json.dumps(obj, indent=2) + "\n"
+    back = json.loads(text)
     assert plmap_from_obj(back) == ref_serialize.plmap_from_obj(back) == f
     return obj
 
@@ -189,7 +196,7 @@ def test_map_wire_past_the_digit_limit():
     assert obj["breakpoints"][0] == ["0", "1/1" + "0" * 4399 + "3"]
 
 
-BAD_RATIONALS = ["1/0", "2/4", "-0", "01", "0.5", "3/2", "-1/2", "0/1", "4/1", 7, None]
+BAD_RATIONALS = ["1/0", "2/4", "-0", "01", "0.5", "3/2", "-1/2", "0/1", "4/1", "0\n", 7, None]
 
 
 @settings(max_examples=200, deadline=None)
@@ -210,6 +217,77 @@ def test_map_reader_rejects_like_fraction_path(f, data):
     got = _outcome(plmap_from_obj, {"breakpoints": pts})
     assert got[0] is ValueError, got
     assert got == _outcome(ref_serialize.plmap_from_obj, {"breakpoints": pts})
+
+
+# Breakpoint values and rows the map reader must refuse with a ValueError,
+# never a TypeError or a KeyError, in a map whose other coordinates run
+# past 4,300 digits. Rows that are not two strings, and an empty list, are
+# not map objects to dumps, which hands them to json.dumps.
+JUNK_VALUES = [-1, 0, 2 ** 70, "-0", "01", "2/4", "1/1", "0\n"]
+JUNK_ROWS = ["ab", ["0"], ["0", "0", "0"], [0, "0"]]
+
+
+def _junk_maps():
+    good = plmap_to_obj(PLMap([(0, F(1, HUGE)), (F(1, 2), 1), (F(HUGE - 1, HUGE), 0), (1, 0)]))
+    for value in JUNK_VALUES:
+        for i, j in ((0, 0), (1, 1), (3, 0)):
+            pts = copy.deepcopy(good["breakpoints"])
+            pts[i][j] = value
+            yield f"value {value!r} at [{i}][{j}]", {"breakpoints": pts}, isinstance(value, str)
+    for row in JUNK_ROWS:
+        pts = copy.deepcopy(good["breakpoints"])
+        pts[1] = row
+        yield f"row {row!r}", {"breakpoints": pts}, False
+    yield "no breakpoints", {"breakpoints": []}, False
+
+
+JUNK_MAPS = list(_junk_maps())
+
+
+@pytest.mark.parametrize("obj, strings", [case[1:] for case in JUNK_MAPS],
+                         ids=[case[0] for case in JUNK_MAPS])
+def test_map_reader_rejects_junk(obj, strings):
+    with pytest.raises(ValueError):
+        plmap_from_obj(obj)
+    # the map writer spells any two strings; anything else goes to json.dumps
+    assert (_map_text(obj) is not None) == strings
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_readers_reject_a_final_newline():
+    with pytest.raises(ValueError, match="malformed"):
+        as_rat("2\n")
+    with pytest.raises(ValueError, match="malformed"):
+        rat_from_str("1/3\n")
+    with pytest.raises(ValueError, match="malformed"):
+        plmap_from_obj({"breakpoints": [["0\n", "0"], ["1", "1"]]})
+    thread = thread_to_obj(Thread(c2, (F(1, 2), F(1, 4))))
+    with pytest.raises(ValueError, match="field 'coords'"):
+        thread_from_obj({**thread, "coords": ["1/2", "1/4\n"]})
+    tower = tower_to_obj(build_tower(c2, c2, F(1, 3), 2))
+    with pytest.raises(ValueError, match="field 't'"):
+        tower_from_obj({**tower, "t": "1/3\n"})
+    cert = certificate_to_obj(make_certificate(c2, c2, F(0), F(1, 2), 4))
+    for key in ("t", "s", "witness", "vt", "vs"):
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            certificate_from_obj({**cert, key: cert[key] + "\n"})
+
+
+JSON_SCALARS = st.one_of(st.text(), st.integers(), st.none(), st.booleans(), st.floats())
+BREAKPOINT_ROWS = st.one_of(st.lists(st.text(), min_size=2, max_size=2),
+                            st.lists(JSON_SCALARS, max_size=3), JSON_SCALARS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BREAKPOINT_ROWS, max_size=5), st.sampled_from([None, "kind", "breakpoints"]))
+def test_dumps_matches_json_dumps(rows, key):
+    # any text in a map object's strings, non-ASCII and control characters
+    # included; any other row or value; and a second key
+    obj = {"breakpoints": rows}
+    if key:
+        obj = {key: 1, **obj}
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
+    assert dumps([obj]) == json.dumps([obj], indent=2) + "\n"
 
 
 def test_seqspec_roundtrip():
@@ -391,3 +469,10 @@ def test_certificate_roundtrip():
 def test_dumps_deterministic():
     cert = make_certificate(c2, c2, F(0), F(1, 2), 4)
     assert dumps(certificate_to_obj(cert)) == dumps(certificate_to_obj(cert))
+    for _, good in READERS:
+        assert dumps(good) == json.dumps(good, indent=2) + "\n"
+
+
+def test_dumps_level_4_map():
+    obj = plmap_to_obj(materialize_level(build_tower(c2, c2, F(1, 3), 4), 4))
+    assert dumps(obj) == json.dumps(obj, indent=2) + "\n"
