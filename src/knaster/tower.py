@@ -14,9 +14,9 @@ the numerator of its tracked preimage over n_1*...*n_j. Its fold points
 follow by leg arithmetic, and queries descend the levels; an explicit f_j
 is built on request and kept by no one but the caller. No build or descent
 step takes a gcd or does Fraction arithmetic. An exact range descends one
-subinterval per level for each extreme, on integer numerators through
-plmap's tent step `_tent_at`, and reduces one Fraction at the end; a value
-f_j(x) is the extreme over the point [x, x].
+subinterval per level for each extreme, on integer numerators, comparing
+x with the one switch point on its tent leg to pick a branch, and reduces
+one Fraction at the end; a value f_j(x) is the extreme over [x, x].
 
 `check_conditions` checks a lift's commuting square as the paper states it,
 `compose(f0, tent(n)) == compose(tent(m), f1)`.
@@ -142,9 +142,9 @@ def check_conditions(f1: PLMap, spec: LiftSpec) -> ConditionReport:
 @dataclass(frozen=True)
 class LevelData:
     """One tower level, all integers: n, m, slot, k, and its leftmost
-    1-preimage as the unreduced b_num / b_den, b_den = n_1*...*n_j.
-    Its fold points t_lam = tent_branch(n, k + lam, 0 or the level below's
-    1-preimage) are derived, not stored, so towers never materialize anything."""
+    1-preimage as the unreduced b_num / b_den, b_den = n_1*...*n_j. Only
+    `_switch` derives its switch points t_lam (none is stored), and a branch
+    at x is picked by comparing x with the one on x's tent leg."""
 
     j: int
     n: int
@@ -155,22 +155,17 @@ class LevelData:
     b_den: int
 
 
-def _branch(lvl: LevelData, below: LevelData | None, c: int, U: int, D: int) -> int:
+def _branch(lvl: LevelData, below: LevelData | None, c: int, X: int, D: int) -> int:
     """Branch index of lvl (its switch points t_1..t_{m-1} at or left of x) at
-    x on tent leg c = floor(n*x), U/D = tent(n)(x) with D > 0. t_lam lies on
-    leg k + lam and maps to 0 (lam even) or to the 1-preimage b_num / b_den
-    of the level below (1 at level 1), and tent(n) rises on even legs, falls
-    on odd ones, so only t_{c-k} needs a compare, made by cross-multiplying."""
+    x = X/D, D > 0, on tent leg c = floor(n*x): only t_{c-k} lies on that leg,
+    so x is compared with it alone, as `_switch` gives it, cross-multiplied."""
     d = c - lvl.k
     if d < 1:
         return 0
     if d >= lvl.m:
         return lvl.m - 1
-    if d % 2 == 0:
-        lhs, rhs = 0, U
-    else:
-        lhs, rhs = (below.b_num * D, U * below.b_den) if below else (D, U)
-    return d if (lhs <= rhs if c % 2 == 0 else rhs <= lhs) else d - 1
+    T, W = _switch(lvl, below, d)
+    return d if X * W >= T * D else d - 1
 
 
 def _climb(branches, Y: int, W: int) -> Fraction:
@@ -313,9 +308,10 @@ def _switch(lvl: LevelData, below: LevelData | None, lam: int) -> tuple[int, int
 def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fraction:
     """The minimum (top false) or maximum (top true) of f_j over [lo, hi].
 
-    Each end descends as an integer numerator over its own denominator. The
-    near end X/D (hi for a maximum) picks the branch; the far end Y/E is cut
-    to that branch's switch point only when it lies on another branch."""
+    Each end, an integer numerator over its own denominator, is compared with
+    its leg's one switch point before its tent step. The near end X/D (hi for
+    a maximum) picks the branch; the far end Y/E is cut to that branch's
+    switch point only when it lies on another branch."""
     near, far = (hi, lo) if top else (lo, hi)
     X, D, Y, E = near.numerator, near.denominator, far.numerator, far.denominator
     point = lo == hi
@@ -327,15 +323,14 @@ def _extreme(tower: Tower, j: int, lo: Fraction, hi: Fraction, top: bool) -> Fra
         # the near end's tent step, inline: through _tent_at a point runs ~10% slower
         s = lvl.n * X
         c = s // D
-        X = s - c * D if c % 2 == 0 else (c + 1) * D - s
         lam = _branch(lvl, below, c, X, D)
+        X = s - c * D if c % 2 == 0 else (c + 1) * D - s
         branches.append((lvl.m, lam))
         if point:
             continue
-        d, V = _tent_at(lvl.n, Y, E)
-        if _branch(lvl, below, d, V, E) != lam:
+        if _branch(lvl, below, lvl.n * Y // E, Y, E) != lam:
             Y, E = _switch(lvl, below, lam if top else lam + 1)
-            d, V = _tent_at(lvl.n, Y, E)
+        d, V = _tent_at(lvl.n, Y, E)
         # the tent folds c/n inside the interval: ceil(n*lo) <= c <= floor(n*hi)
         c_lo, c_hi = (-(-lvl.n * Y // E), c) if top else (-(-s // D), d)
         top ^= lam % 2 == 1  # a falling branch turns f_{j-1}'s max into f_j's min

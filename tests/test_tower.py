@@ -38,7 +38,6 @@ from knaster import (
     tent,
 )
 from knaster.cli import parse_seq
-from knaster.plmap import wave_eval
 from knaster.tower import _branch, _switch
 
 F = Fraction
@@ -432,8 +431,7 @@ def test_leg_arithmetic_matches_stored_folds(pair, t):
                   *(F(rng.randint(0, 10 ** 6), 10 ** 6) for _ in range(40))]
         points += [x + d for x in folds for d in (-eps, eps) if 0 <= x + d <= 1]
         for x in points:
-            u = wave_eval(n * x)
-            lam = _branch(lvl, below, math.floor(n * x), u.numerator, u.denominator)
+            lam = _branch(lvl, below, math.floor(n * x), x.numerator, x.denominator)
             assert lam == bisect_right(bounds, x), (lvl.j, x)
         pairs = [(x, x) for x in points] + [sorted(rng.sample(points, 2)) for _ in range(300)]
         pairs += [(lo, hi) for lo in folds for hi in folds if lo <= hi]
@@ -633,6 +631,31 @@ def test_tower_matches_fraction_oracle(pair, t, j, data):
                       st.fractions(min_value=0, max_value=1, max_denominator=10 ** 9))
     for x in data.draw(st.lists(point, min_size=1, max_size=4)):
         assert eval_level(tower, j, x) == ref_tower.eval_level(ref, j, x), (j, x)
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS)
+@pytest.mark.parametrize("t", (F(1, 3), F(31, 97)))
+def test_branch_matches_switch_points_deep(pair, t):
+    # test_leg_arithmetic_matches_stored_folds stops at depth 5; here the
+    # level below's b_den, which a switch point's denominator carries, runs
+    # to thousands of bits
+    tower, _ = oracle_towers(pair, t)
+    assert tower.level(ORACLE_DEPTH).b_den.bit_length() > 1000
+    rng = random.Random(f"{pair} {t}")
+    eps = F(1, 10 ** 12)
+    for j in (1, 2, 50, 150, ORACLE_DEPTH):
+        lvl = tower.level(j)
+        below = tower.level(j - 1) if j > 1 else None
+        n, k, m = lvl.n, lvl.k, lvl.m
+        bounds = ref_range.fold_points(lvl, b_of(below) if below else F(1))[1:m]
+        points = [x + d for x in bounds for d in (-eps, 0, eps)]
+        points += [F(c, n) for c in range(k, k + m + 1)]
+        # random points on the turning legs k+1 .. k+m-1
+        points += [F(c * 10 ** 6 + rng.randint(0, 10 ** 6), n * 10 ** 6)
+                   for c in (rng.randint(k + 1, k + m - 1) for _ in range(200))]
+        for x in points:
+            lam = _branch(lvl, below, math.floor(n * x), x.numerator, x.denominator)
+            assert lam == bisect_right(bounds, x), (j, x)
 
 
 FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
