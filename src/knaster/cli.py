@@ -21,8 +21,8 @@ from . import serialize
 from .distinguish import make_certificate, verify_certificate
 from .natmap import (
     NaturalMapSpec,
+    _first_bad,
     enumerate_natural_maps,
-    first_incompatible,
     induced_indices,
     prime_obstruction,
 )
@@ -65,7 +65,10 @@ def parse_map(text: str) -> PLMap:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _save(path: str, text: str, note: str = "") -> None:
@@ -181,7 +184,7 @@ def cmd_natmap_check(args) -> int:
     if source.kind != "list" and target.kind != "list" and prime_obstruction(source, target):
         print("advisory: the target tail needs a prime the source tail lacks; "
               "no spec stays compatible at large depth")
-    bad = first_incompatible(spec, depth)
+    bad = _first_bad(values)
     if bad is None:
         print(f"compatible to depth {depth}")
         return EXIT_OK
@@ -397,7 +400,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError and UnicodeDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

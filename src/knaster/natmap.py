@@ -56,12 +56,14 @@ def induced_indices(spec: NaturalMapSpec, depth: int) -> list[Fraction]:
     return out
 
 
+def _first_bad(values: list[Fraction]) -> int | None:
+    """Least k with values[k - 1], the induced i_k, not a positive integer, or None."""
+    return next((k for k, v in enumerate(values, start=1) if v.denominator != 1 or v < 1), None)
+
+
 def first_incompatible(spec: NaturalMapSpec, depth: int) -> int | None:
     """Least k <= depth where i_k fails to be a positive integer, or None."""
-    for k, value in enumerate(induced_indices(spec, depth), start=1):
-        if value.denominator != 1 or value < 1:
-            return k
-    return None
+    return _first_bad(induced_indices(spec, depth))
 
 
 def _least_compatible_picks(source: SeqSpec, target: SeqSpec, i0: int, j0: int,

@@ -11,18 +11,18 @@ points have equal triples. Read as homogeneous coordinates, the line
 through two points and the point where two lines meet are both one
 integer cross product: evaluation meets a segment with a vertical line,
 composition meets it with a horizontal one. A breakpoint on the line
-through its neighbours is merged away, in one pass (`_merge`) over
-untrusted input and the general `compose` walk; each tent walk knows
-where its points can line up and checks only there. `compose` and the
-lift step `tent_lift`, which reads f0 tiled n times and never builds
-f0∘tent(n), map triples to triples; the lift turns from one inverse
-branch of tent(m) to the next at the index of f0's first zero or first
-one, with no point searched for and no Fraction built. `compose` knows
-a tent operand by its value and walks it itself: f∘tent(n) tiles f's
-triples n times, with no search over f, and tent(m)∘f is one walk over
-f, where the integer tent step `_tent_at`, also the tower's, maps each
-breakpoint and each fold k/m a segment crosses comes from an integer
-floor, with no search over tent(m).
+through its neighbours is dropped by one routine, `_from_triples`, at
+every interior index of untrusted input and the general `compose` walk;
+each tent walk knows where its points can line up and checks only there.
+`compose` and the lift step `tent_lift`, which reads f0 tiled n times
+and never builds f0∘tent(n), map triples to triples; the lift turns from
+one inverse branch of tent(m) to the next at the index of f0's first
+zero or first one, with no point searched for and no Fraction built.
+`compose` knows a tent operand by its value and walks it itself:
+f∘tent(n) tiles f's triples n times, with no search over f, and
+tent(m)∘f is one walk over f, where the integer tent step `_tent_at`,
+also the tower's, maps each breakpoint and each fold k/m a segment
+crosses comes from an integer floor, with no search over tent(m).
 Fractions appear only at the API boundary (`points`, `__call__`,
 `range_on`, `tent_preimages`). The JSON writer and the SVG renderer read
 `triples`, the JSON reader hands integer ratios to `from_ratios`, and
@@ -36,7 +36,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable, Union
 
 RatLike = Union[Fraction, int, str]
@@ -109,27 +108,6 @@ def _collinear(a, b, p) -> bool:
     return not ax * (by * pw - bw * py) + ay * (bw * px - bx * pw) + aw * (bx * py - by * px)
 
 
-def _merge(t) -> tuple:
-    """Drop each breakpoint that lies on the line through its neighbours, in
-    one pass: the last two kept points a, b stay in locals, and p lies on
-    their line when the 3x3 determinant of a, b, p is 0. Each such b is
-    popped and p re-checked against the new last two, so a collinear run
-    of any length merges to its two ends. t holds at least two triples."""
-    merged = [t[0], t[1]]
-    (ax, ay, aw), (bx, by, bw) = merged
-    for p in islice(t, 2, None):
-        px, py, pw = p
-        while not ax * (by * pw - bw * py) + ay * (bw * px - bx * pw) + aw * (bx * py - by * px):
-            merged.pop()
-            bx, by, bw = ax, ay, aw
-            if len(merged) < 2:
-                break
-            ax, ay, aw = merged[-2]
-        merged.append(p)
-        ax, ay, aw, bx, by, bw = bx, by, bw, px, py, pw
-    return tuple(merged)
-
-
 # str() refuses integers longer than sys.get_int_max_str_digits() (4300
 # digits by default, at least 640), so longer ones go in halves.
 def _int_to_str(n: int) -> str:
@@ -187,8 +165,9 @@ def _triple(xn: int, xd: int, yn: int, yd: int) -> tuple[int, int, int]:
     return (xn * (w // xd), yn * (w // yd), w)
 
 
-def _checked(t: list) -> tuple:
-    """The merged triples of t, after checking that they are a map [0, 1] -> [0, 1]."""
+def _checked(t: list) -> PLMap:
+    """The map on the triples t, after checking that they are a map
+    [0, 1] -> [0, 1], with every collinear interior point dropped."""
     if len(t) < 2:
         raise ValueError("a map needs at least two breakpoints")
     if t[0][0] != 0 or t[-1][0] != t[-1][2]:
@@ -199,7 +178,7 @@ def _checked(t: list) -> tuple:
                 f"x-coordinates must increase strictly (at x = {Fraction(x, w)})")
         if not 0 <= y <= w:
             raise ValueError(f"value {Fraction(y, w)} outside [0, 1]")
-    return _merge(t)
+    return _from_triples(t, range(1, len(t) - 1))
 
 
 class PLMap:
@@ -218,16 +197,14 @@ class PLMap:
         for x, y in points:
             x, y = as_rat(x), as_rat(y)
             t.append(_triple(x.numerator, x.denominator, y.numerator, y.denominator))
-        self._t = _checked(t)
+        self._t = _checked(t)._t
 
     @classmethod
     def from_ratios(cls, pairs: Iterable[tuple[tuple[int, int], tuple[int, int]]]) -> PLMap:
         """The map through ((xn, xd), (yn, yd)) pairs, each ratio an integer
         pair in lowest terms with a positive denominator, checked as by the
         constructor but with no Fraction built."""
-        f = object.__new__(cls)
-        f._t = _checked([_triple(xn, xd, yn, yd) for (xn, xd), (yn, yd) in pairs])
-        return f
+        return _checked([_triple(xn, xd, yn, yd) for (xn, xd), (yn, yd) in pairs])
 
     @property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -307,7 +284,8 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
             pts.append(_reduce((x * w, v * wx, wx * w)))
     _, v, w = outer._at(it[-1][1], it[-1][2])
     pts.append(_reduce((w, v, w)))
-    return _from_triples(_merge(pts))  # a flat stretch of outer can merge anywhere
+    # a flat stretch of outer can line points up anywhere, so every index is checked
+    return _from_triples(pts, range(1, len(pts) - 1))
 
 
 def _tent_of(m: int, f: PLMap) -> PLMap:
@@ -418,11 +396,12 @@ def tent_lift(f0: PLMap, n: int, m: int, k: int) -> PLMap:
 
 def _from_triples(t, at=()) -> PLMap:
     """The PLMap on valid reduced triples t, x increasing strictly, not
-    re-checked. A t[i] on the line through t[i - 1] and t[i + 1] is dropped,
-    looked for only at the indices in at, where the caller knows it can
-    occur. Each is judged by its neighbours in t, so a collinear run loses
-    its inner points, as in `_merge`."""
-    drop = {i for i in at if 0 < i < len(t) - 1 and _collinear(*t[i - 1:i + 2])}
+    re-checked; the one routine that drops points. A t[i] on the line
+    through t[i - 1] and t[i + 1] is dropped, looked for at the indices in
+    at: every interior one, or only where the caller knows it can occur.
+    Consecutive triples share two distinct points, so each collinear run
+    loses its inner points and keeps its ends, as a stack merge would."""
+    drop = {i for i in at if 0 < i < len(t) - 1 and _collinear(t[i - 1], t[i], t[i + 1])}
     if drop:
         t = [p for i, p in enumerate(t) if i not in drop]
     f = object.__new__(PLMap)

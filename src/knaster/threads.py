@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .natmap import NaturalMapSpec, induced_indices
+from .natmap import NaturalMapSpec, _first_bad, induced_indices
 from .plmap import ONE, ZERO, as_rat, tent_preimages, wave_eval
 from .seqs import GroupedSeq, SeqSpec
 from .tower import Tower, eval_level
@@ -84,10 +84,10 @@ def apply_natmap(spec: NaturalMapSpec, thread: Thread) -> Thread:
             f"thread depth {thread.depth} does not reach coordinate {spec.jseq[-1]}")
     degrees = [spec.i0]
     if depth >= 1:
-        for k, value in enumerate(induced_indices(spec, depth), start=1):
-            if value.denominator != 1 or value < 1:
-                raise ValueError(f"spec is incompatible at level {k}")
-            degrees.append(int(value))
+        values = induced_indices(spec, depth)
+        if (bad := _first_bad(values)) is not None:
+            raise ValueError(f"spec is incompatible at level {bad}")
+        degrees += map(int, values)
     ys = tuple(wave_eval(degrees[k] * thread.coords[spec.jseq[k]])
                for k in range(depth + 1))
     return Thread(spec.target, ys)

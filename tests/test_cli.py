@@ -299,6 +299,28 @@ def test_natmap_check(capsys):
     assert "need depth >= 1" in capsys.readouterr().err
 
 
+def test_natmap_check_computes_the_indices_once(monkeypatch, capsys):
+    calls, walk = [], knaster.natmap.induced_indices
+
+    def counting(spec, depth):
+        calls.append(depth)
+        return walk(spec, depth)
+    monkeypatch.setattr(knaster.cli, "induced_indices", counting)
+    monkeypatch.setattr(knaster.natmap, "induced_indices", counting)
+    assert run("natmap", "check", "--N", "const:2", "--M", "const:3",
+               "--i0", "9", "--jseq", "0,1,2,3") == 1
+    assert calls == [3]
+    assert capsys.readouterr().out == (
+        "indices: 6, 4, 8/3\n"
+        "advisory: the target tail needs a prime the source tail lacks; "
+        "no spec stays compatible at large depth\n"
+        "fails at k=3\n")
+    assert run("natmap", "check", "--N", "const:6", "--M", "const:2",
+               "--i0", "1", "--jseq", "0,1,2") == 0
+    assert calls == [3, 2]
+    assert capsys.readouterr().out == "indices: 3, 9\ncompatible to depth 2\n"
+
+
 def test_natmap_check_huge_prime_term(capsys):
     # 10^18 + 3 is prime: deciding the advisory by factoring took minutes
     start = time.perf_counter()

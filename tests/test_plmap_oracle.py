@@ -24,7 +24,7 @@ from knaster import (
     tent,
 )
 from knaster import plmap
-from knaster.plmap import _merge, _of_tent, _tent_of, _triple
+from knaster.plmap import _from_triples, _of_tent, _tent_of, _triple
 from knaster.serialize import plmap_from_obj
 from raw_walks import check_raw
 
@@ -397,7 +397,7 @@ def test_merge_matches_fraction_merge(pts):
     want = ref.PLMap(pts).points
     assert PLMap(pts).points == want
     triples = [_triple(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in pts]
-    assert _merge(triples) == tuple(
+    assert _from_triples(triples, range(1, len(triples) - 1)).triples == tuple(
         _triple(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in want)
 
 
@@ -406,4 +406,5 @@ def test_merge_whole_line_and_short_inputs():
     assert PLMap(line).points == ref.PLMap(line).points == (line[0], line[-1])
     flat = [(F(k, 5), F(1)) for k in range(6)]
     assert PLMap(flat).points == ref.PLMap(flat).points == (flat[0], flat[-1])
-    assert _merge([(0, 0, 1), (1, 1, 1)]) == ((0, 0, 1), (1, 1, 1))
+    two = [(0, 0, 1), (1, 1, 1)]
+    assert _from_triples(two, range(1, len(two) - 1)).triples == tuple(two)

@@ -5,7 +5,8 @@ sequence), natural-map and certificate object, each nested field in turn,
 level records, sequence records and list items included, is replaced by a
 junk value of any JSON type or deleted. A reader must return or raise
 ValueError, within a second; the CLI must exit 0, 1 or 2, with no exception
-escaping `main`.
+escaping `main`. A file nested too deeply for `json.load` makes every
+command that reads a JSON path exit 2.
 """
 
 import contextlib
@@ -146,3 +147,35 @@ def test_cli_exits_cleanly_on_junk_files(name, tmp_path):
             except BaseException as exc:  # noqa: BLE001 - nothing may escape main
                 pytest.fail(f"{argv[:2]} on {name}, {what}: {type(exc).__name__}: {exc}")
             assert code in (0, 1, 2), (argv[:2], what, code)
+
+
+DEEP_COMMANDS = {  # every CLI command that reads a JSON path, the deep file at {deep}
+    "tower eval": ["tower", "eval", "--tower", "{deep}", "--level", "1", "--x", "1/3"],
+    "tower materialize": ["tower", "materialize", "--tower", "{deep}", "--level", "1",
+                          "--out", "{out}"],
+    "thread validate": ["thread", "validate", "--thread", "{deep}"],
+    "thread extend": ["thread", "extend", "--thread", "{deep}"],
+    "thread map --thread": ["thread", "map", "--thread", "{deep}", "--natmap", "{natmap}"],
+    "thread map --natmap": ["thread", "map", "--thread", "{thread}", "--natmap", "{deep}"],
+    "thread map --tower": ["thread", "map", "--thread", "{grouped}", "--tower", "{deep}"],
+    "verify-cert": ["verify-cert", "--cert", "{deep}", "--N", "const:2", "--M", "const:2"],
+    "lift --f0": ["lift", "--m", "2", "--n", "4", "--q", "1", "--i", "0", "--f0", "{deep}"],
+    "lifts --h": ["lifts", "--h", "{deep}", "--m", "2"],
+    "plot --maps": ["plot", "--maps", "{deep}", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", DEEP_COMMANDS)
+def test_cli_exits_2_on_deeply_nested_json(command, tmp_path):
+    # json.load ends in RecursionError on nesting this deep; the CLI reports it
+    paths = {name: tmp_path / f"{name}.json" for name in ("deep", "natmap", "thread", "grouped")}
+    paths["deep"].write_text("[" * 200_000 + "]" * 200_000)
+    paths["natmap"].write_text(dumps(OBJECTS["natural map"][1]))
+    paths["thread"].write_text(dumps(OBJECTS["thread"][1]))
+    paths["grouped"].write_text(dumps(OBJECTS["grouped thread"][1]))
+    argv = [arg.format(out=tmp_path / "out", **paths) for arg in DEEP_COMMANDS[command]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue() == f"error: {paths['deep']}: JSON nested too deeply\n"
+    assert not (tmp_path / "out").exists()

@@ -119,8 +119,8 @@ def test_apply_natmap_errors():
         apply_natmap(NaturalMapSpec(1, (0, 1, 2), c2, c2), th)  # too short
     bad = NaturalMapSpec(9, (0, 1, 2, 3), c2, SeqSpec.constant(3))
     deep = Thread(c2, (F(1, 2), F(1, 4), F(1, 8), F(1, 16)))
-    with pytest.raises(ValueError):
-        apply_natmap(bad, deep)  # incompatible spec
+    with pytest.raises(ValueError, match="^spec is incompatible at level 3$"):
+        apply_natmap(bad, deep)  # i_3 = 8/3
 
 
 def test_apply_tower_endpoint_and_depth_zero():
