@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .plmap import ONE, ZERO, RatLike, as_rat
-from .seqs import SeqSpec
+from .seqs import SeqSpec, check_int
 from .tower import LevelData, build_tower, eval_level
 
 
@@ -47,7 +47,7 @@ def pick_level(t: RatLike, s: RatLike, ell: int, target: SeqSpec) -> int:
     t, s = as_rat(t), as_rat(s)
     if not ZERO <= t < s <= ONE:
         raise ValueError(f"need 0 <= t < s <= 1, got t={t}, s={s}")
-    if ell < 1:
+    if check_int(ell, "ell") < 1:
         raise ValueError("ell must be positive")
     gap = s - t
     j, p = 1, 1  # p = m_1*...*m_{j-1}, kept as a running product
@@ -96,7 +96,7 @@ def make_certificate(raw_source: SeqSpec, target: SeqSpec, t: RatLike, s: RatLik
         t, s = s, t
     j = pick_level(t, s, ell, target)
     if level is not None:
-        if level < 1:
+        if check_int(level, "level") < 1:
             raise ValueError("level must be positive")
         if level < j:
             raise ValueError(f"level {level} violates the certificate inequalities")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .seqs import SeqSpec
+from .seqs import SeqSpec, check_int
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class NaturalMapSpec:
     target: SeqSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "jseq", tuple(self.jseq))
-        if self.i0 < 1:
+        object.__setattr__(self, "jseq", tuple(check_int(j, "jseq entry") for j in self.jseq))
+        if check_int(self.i0, "i0") < 1:
             raise ValueError("i0 must be a positive integer")
         if not self.jseq or self.jseq[0] < 0:
             raise ValueError("jseq must be nonempty with j_0 >= 0")
@@ -41,19 +41,26 @@ class NaturalMapSpec:
 
 def induced_indices(spec: NaturalMapSpec, depth: int) -> list[Fraction]:
     """The exact values i_1..i_depth forced by the divisibility formula."""
-    if depth < 1:
+    if check_int(depth, "depth") < 1:
         raise ValueError("depth must be >= 1")
     if depth > len(spec.jseq) - 1:
         raise ValueError(f"jseq of length {len(spec.jseq)} does not reach depth {depth}")
     out = []
     cur = Fraction(spec.i0)
     for k in range(1, depth + 1):
-        block = 1
-        for r in range(spec.jseq[k - 1] + 1, spec.jseq[k] + 1):
-            block *= spec.source.nth(r)
+        block = _block_product(spec.source, spec.jseq[k - 1] + 1, spec.jseq[k])
         cur = cur * block / spec.target.nth(k)
         out.append(cur)
     return out
+
+
+def _block_product(seq: SeqSpec, lo: int, hi: int) -> int:
+    """n_lo*...*n_hi (1 when lo > hi) as a balanced product tree: multiplying
+    term by term onto a growing product is quadratic in the block length."""
+    if hi - lo < 16:
+        return math.prod(seq.nth(r) for r in range(lo, hi + 1))
+    mid = (lo + hi) // 2
+    return _block_product(seq, lo, mid) * _block_product(seq, mid + 1, hi)
 
 
 def _first_bad(values: list[Fraction]) -> int | None:
@@ -104,7 +111,8 @@ def enumerate_natural_maps(source: SeqSpec, target: SeqSpec, i0max: int,
     naturally induced map), so only the lexicographically least jseq is
     emitted for each such pair.
     """
-    if min(i0max, j0max, jmax, depth) < 0:
+    bounds = {"i0max": i0max, "j0max": j0max, "jmax": jmax, "depth": depth}
+    if min(check_int(value, name) for name, value in bounds.items()) < 0:
         raise ValueError("bounds must be nonnegative")
     out: list[NaturalMapSpec] = []
     for i0 in range(1, i0max + 1):

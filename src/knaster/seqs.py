@@ -17,6 +17,15 @@ class SequenceExhausted(ValueError):
     """A finite bonding sequence has no term at the requested index."""
 
 
+def check_int(value, name: str) -> int:
+    """value, if it is an int and not a bool; else ValueError naming the
+    parameter. A float, Fraction or string is refused even where it equals
+    an integer."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class SeqSpec:
     """A sequence of integers >= 2: constant, finite list, or eventually periodic."""
@@ -29,15 +38,15 @@ class SeqSpec:
 
     def __post_init__(self):
         if self.kind == "constant":
-            if self.n < 2:
+            if check_int(self.n, "constant bonding term") < 2:
                 raise ValueError("constant bonding term must be >= 2")
         elif self.kind == "list":
-            if any(v < 2 for v in self.items):
+            if any(check_int(v, "bonding term") < 2 for v in self.items):
                 raise ValueError("bonding terms must be >= 2")
         elif self.kind == "periodic":
             if not self.period:
                 raise ValueError("periodic sequence needs a nonempty period")
-            if any(v < 2 for v in self.prefix + self.period):
+            if any(check_int(v, "bonding term") < 2 for v in self.prefix + self.period):
                 raise ValueError("bonding terms must be >= 2")
         else:
             raise ValueError(f"unknown sequence kind {self.kind!r}")

@@ -12,6 +12,8 @@ is not a map object holding a list of [x, y] breakpoints is rejected with a
 message naming what is wrong. So is a file of another kind handed to the
 tower, thread, natural map or certificate reader: "not a tower: ...", and
 a field missing or mistyped deeper in is named: "level 1: missing field 'n'".
+Each reader names a record's keys once, in the table it hands `_record`; a
+certificate's keys, their order and their types are its dataclass fields'.
 A thread over a regrouped sequence stores it as {"kind": "grouped", "raw":
 ..., "partner": ...}, so the file can be extended past its coordinates.
 A tower file holds only its inputs: the sequences, t, the depth and, per
@@ -22,8 +24,10 @@ the tower it rebuilds.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from typing import get_type_hints
 
 from .distinguish import Certificate
 from .natmap import NaturalMapSpec
@@ -49,13 +53,6 @@ def _unit_rat_from_str(text: str) -> Fraction:
     return value
 
 
-def _fields(obj, kind: str, keys: tuple[str, ...]) -> None:
-    """Reject obj as not a kind unless it is a JSON object holding every key."""
-    if not isinstance(obj, dict) or not all(key in obj for key in keys):
-        raise ValueError(f"not a {kind}: expected a JSON object with the keys "
-                         + ", ".join(repr(key) for key in keys))
-
-
 def _read(obj, key: str, parse):
     """parse(obj[key]) for a JSON object obj holding key; any failure names the field."""
     if not isinstance(obj, dict) or key not in obj:
@@ -64,6 +61,17 @@ def _read(obj, key: str, parse):
         return parse(obj[key])
     except ValueError as e:
         raise ValueError(f"field {key!r}: {e}") from None
+
+
+def _record(obj, kind: str, parsers: dict) -> dict:
+    """{key: parse(obj[key])} for each key and parse of the ordered table
+    parsers, so each key of a record is named once; a failure names the
+    field. Reject obj as not a kind unless it is a JSON object holding
+    every key."""
+    if not isinstance(obj, dict) or not all(key in obj for key in parsers):
+        raise ValueError(f"not a {kind}: expected a JSON object with the keys "
+                         + ", ".join(repr(key) for key in parsers))
+    return {key: _read(obj, key, parse) for key, parse in parsers.items()}
 
 
 def _int(value) -> int:
@@ -137,13 +145,9 @@ def natmap_to_obj(spec: NaturalMapSpec) -> dict:
 
 
 def natmap_from_obj(obj: dict) -> NaturalMapSpec:
-    _fields(obj, "natural map", ("i0", "jseq", "N", "M"))
-    return NaturalMapSpec(
-        i0=_read(obj, "i0", _int),
-        jseq=tuple(_read(obj, "jseq", _ints)),
-        source=_read(obj, "N", seqspec_from_obj),
-        target=_read(obj, "M", seqspec_from_obj),
-    )
+    rec = _record(obj, "natural map",
+                  {"i0": _int, "jseq": _ints, "N": seqspec_from_obj, "M": seqspec_from_obj})
+    return NaturalMapSpec(rec["i0"], rec["jseq"], rec["N"], rec["M"])  # it tuples jseq
 
 
 # ---------------------------------------------------------------- Thread
@@ -171,11 +175,7 @@ def thread_to_obj(thread: Thread) -> dict:
 
 
 def thread_from_obj(obj: dict) -> Thread:
-    _fields(obj, "thread", ("seq", "coords"))
-    return Thread(
-        seq=_read(obj, "seq", _bonding_from_obj),
-        coords=_read(obj, "coords", _rats),
-    )
+    return Thread(**_record(obj, "thread", {"seq": _bonding_from_obj, "coords": _rats}))
 
 
 # ----------------------------------------------------------------- Tower
@@ -191,25 +191,26 @@ def tower_to_obj(tower: Tower) -> dict:
     }
 
 
+def _level_list(values) -> list:
+    if not isinstance(values, list):
+        raise ValueError("expected a list of level records")
+    return values
+
+
 def tower_from_obj(obj: dict) -> Tower:
     """Rebuild the tower and check the stored level integers against it; other
     keys of a level record, such as older files' derived fold data, are ignored."""
-    _fields(obj, "tower", ("rawN", "M", "t", "depth", "levels"))
-    raw_source = _read(obj, "rawN", seqspec_from_obj)
-    target = _read(obj, "M", seqspec_from_obj)
-    t = _read(obj, "t", rat_from_str)
-    depth = _read(obj, "depth", _int)
-    stored = obj["levels"]
-    if not isinstance(stored, list):
-        raise ValueError("field 'levels': expected a list of level records")
+    rec = _record(obj, "tower", {"rawN": seqspec_from_obj, "M": seqspec_from_obj,
+                                 "t": rat_from_str, "depth": _int, "levels": _level_list})
+    depth, stored = rec["depth"], rec["levels"]
     if len(stored) != depth:
         raise ValueError(f"tower claims depth {depth} but stores {len(stored)} levels")
-    tower = build_tower(raw_source, target, t, depth)
-    for lvl, rec in zip(tower.levels, stored):
-        if not isinstance(rec, dict):
+    tower = build_tower(rec["rawN"], rec["M"], rec["t"], depth)
+    for lvl, entry in zip(tower.levels, stored):
+        if not isinstance(entry, dict):
             raise ValueError(f"field 'levels': level {lvl.j} is not a JSON object")
         try:
-            ints = tuple(_read(rec, key, _int) for key in ("n", "m", "slot", "k"))
+            ints = tuple(_read(entry, key, _int) for key in ("n", "m", "slot", "k"))
         except ValueError as e:
             raise ValueError(f"level {lvl.j}: {e}") from None
         if ints != (lvl.n, lvl.m, lvl.slot, lvl.k):
@@ -219,36 +220,26 @@ def tower_from_obj(obj: dict) -> Tower:
 
 # ------------------------------------------------------------ Certificate
 
+def _certificate_parsers() -> dict:
+    """The certificate's keys, in field order, each read by its declared type:
+    a Fraction field as a rational string in [0, 1], any other as an integer.
+    The declaration decides, not the value, so Certificate(t=0, ...) writes "0"."""
+    hints = get_type_hints(Certificate)  # resolves the postponed annotation "Fraction"
+    return {f.name: _unit_rat_from_str if hints[f.name] is Fraction else _int
+            for f in fields(Certificate)}
+
+
+_CERT_PARSERS = _certificate_parsers()
+
+
 def certificate_to_obj(cert: Certificate) -> dict:
-    return {
-        "t": rat_to_str(cert.t),
-        "s": rat_to_str(cert.s),
-        "ell": cert.ell,
-        "j": cert.j,
-        "q": cert.q,
-        "witness": rat_to_str(cert.witness),
-        "vt": rat_to_str(cert.vt),
-        "vs": rat_to_str(cert.vs),
-        "p": cert.p,
-        "r": cert.r,
-    }
+    return {key: getattr(cert, key) if parse is _int else rat_to_str(getattr(cert, key))
+            for key, parse in _CERT_PARSERS.items()}
 
 
 def certificate_from_obj(obj: dict) -> Certificate:
-    _fields(obj, "certificate", ("t", "s", "ell", "j", "q", "witness", "vt", "vs", "p", "r"))
     # Certificate checks nothing, so an out-of-range value is bad input here
-    return Certificate(
-        t=_read(obj, "t", _unit_rat_from_str),
-        s=_read(obj, "s", _unit_rat_from_str),
-        ell=_read(obj, "ell", _int),
-        j=_read(obj, "j", _int),
-        q=_read(obj, "q", _int),
-        witness=_read(obj, "witness", _unit_rat_from_str),
-        vt=_read(obj, "vt", _unit_rat_from_str),
-        vs=_read(obj, "vs", _unit_rat_from_str),
-        p=_read(obj, "p", _int),
-        r=_read(obj, "r", _int),
-    )
+    return Certificate(**_record(obj, "certificate", _CERT_PARSERS))
 
 
 def _map_text(obj) -> str | None:

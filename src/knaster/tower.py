@@ -43,7 +43,7 @@ from .plmap import (
     tent_preimages,
     wave_eval,
 )
-from .seqs import GroupedSeq, SeqSpec, regroup
+from .seqs import GroupedSeq, SeqSpec, check_int, regroup
 
 DEFAULT_LAP_BUDGET = 10 ** 6
 
@@ -64,6 +64,8 @@ class LiftSpec:
     f0: PLMap
 
     def validate(self) -> None:
+        for name in ("m", "n", "q", "i"):
+            check_int(getattr(self, name), name)
         if min(self.m, self.n, self.q) < 1:
             raise ValueError("m, n and q must be positive")
         if not 0 <= self.i < self.q:
@@ -222,7 +224,7 @@ def build_tower(raw_source: SeqSpec, target: SeqSpec, t: RatLike, depth: int) ->
     t = as_rat(t)
     if not ZERO <= t <= ONE:
         raise ValueError(f"parameter {t} outside [0, 1]")
-    if depth < 0:
+    if check_int(depth, "depth") < 0:
         raise ValueError("depth must be >= 0")
     grouped = regroup(raw_source, target, depth)
     levels = []
@@ -377,7 +379,7 @@ def enumerate_lifts(h: PLMap, m: int, cap: int) -> list[PLMap]:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError("tent index must be a positive integer")
-    if cap < 1:
+    if check_int(cap, "cap") < 1:
         raise ValueError("cap must be positive")
     xs, ys = zip(*h.points)
     last = len(xs) - 1

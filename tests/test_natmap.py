@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +91,24 @@ def test_recurrence_invariant():
                 for r in range(jseq[k - 1] + 1, jseq[k] + 1):
                     block *= source.nth(r)
                 assert vals[k] * target.nth(k) == vals[k - 1] * block
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 60), max_size=6), st.lists(st.integers(2, 60), min_size=1, max_size=6),
+       st.sampled_from((c2, c3, c6)), st.integers(1, 40), st.integers(0, 30),
+       st.lists(st.integers(1, 300), min_size=1, max_size=4))
+def test_block_products_match_sequential(prefix, period, target, i0, j0, gaps):
+    # blocks of 1 to 300 terms, either side of the product tree's 16-term leaves
+    source = SeqSpec.periodic(prefix, period)
+    jseq = tuple(accumulate(gaps, initial=j0))
+    want, cur = [], F(i0)
+    for k in range(1, len(gaps) + 1):
+        block = 1
+        for r in range(jseq[k - 1] + 1, jseq[k] + 1):
+            block *= source.nth(r)
+        cur = cur * block / target.nth(k)
+        want.append(cur)
+    assert induced_indices(NaturalMapSpec(i0, jseq, source, target), len(gaps)) == want
 
 
 def test_compatibility_monotone():

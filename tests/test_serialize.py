@@ -2,6 +2,7 @@ import copy
 import json
 import re
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import ref_serialize
 import ref_tower
 from knaster import (
+    Certificate,
     GroupedSeq,
     NaturalMapSpec,
     PLMap,
@@ -464,6 +466,18 @@ def test_certificate_roundtrip():
         certificate_from_obj({**obj, "p": "64"})  # counters are JSON integers
     with pytest.raises(ValueError):
         certificate_from_obj({**obj, "vt": "3/2"})
+
+
+def test_certificate_keys_and_types_follow_the_dataclass():
+    cert = make_certificate(c2, c2, F(0), F(1, 2), 4)
+    assert list(certificate_to_obj(cert)) == [f.name for f in fields(Certificate)]
+    # the declared type, not the value, picks the wire form: integer-valued
+    # rationals are still rational strings
+    hand = Certificate(t=0, s=1, ell=4, j=7, q=3, witness=F(3, 16), vt=1, vs=0, p=64, r=128)
+    obj = json.loads(dumps(certificate_to_obj(hand)))
+    assert (obj["t"], obj["s"], obj["vt"], obj["vs"]) == ("0", "1", "1", "0")
+    assert (obj["ell"], obj["p"]) == (4, 64)
+    assert certificate_from_obj(obj) == hand
 
 
 def test_dumps_deterministic():
